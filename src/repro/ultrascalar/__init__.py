@@ -1,17 +1,20 @@
 """The Ultrascalar processors: the paper's primary contribution.
 
-Three cycle-accurate behavioural models share one scheduling policy —
-the policy the paper proves all three microarchitectures implement:
+One cycle-accurate behavioural engine runs all three designs, with the
+one scheduling policy the paper proves all three microarchitectures
+implement; they differ only in how many stations refill at a time:
 
 * :class:`repro.ultrascalar.ring.RingProcessor` — the Ultrascalar I:
   a wrap-around ring of execution stations connected by per-register
-  CSPP circuits, with per-station refill.  With ``cluster_size > 1`` it
-  becomes the **hybrid**: clusters of stations refill as a unit, exactly
-  as the paper's clusters behave like "super execution stations".
+  CSPP circuits, with per-station refill (``cluster_size = 1``).  With
+  ``1 < cluster_size < n`` it becomes the **hybrid**: clusters of
+  stations refill as a unit, exactly as the paper's clusters behave
+  like "super execution stations".
 * :class:`repro.ultrascalar.us2.BatchProcessor` — the Ultrascalar II:
-  a non-wrap-around grid datapath; a batch of ``n`` instructions issues
-  out of order, and the stations refill only when the whole batch has
-  finished ("stations idle waiting for everyone to finish").
+  the same engine with one cluster spanning the window, so a batch of
+  ``n`` instructions issues out of order and the stations refill only
+  when the whole batch has finished ("stations idle waiting for
+  everyone to finish").
 * :mod:`repro.ultrascalar.vector_engine` — a NumPy-vectorized
   implementation of the ring datapath for large-``n`` studies,
   bit-equivalent to :class:`RingProcessor` on register workloads.

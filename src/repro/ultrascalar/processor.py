@@ -6,7 +6,7 @@ the processors are in their VLSI complexities."  Behaviourally the one
 place they differ is station refill: per-station (Ultrascalar I),
 whole-batch (Ultrascalar II, no wrap-around), or per-cluster (hybrid).
 The factories at the bottom build exactly those three configurations
-over the shared engine components.
+of the one ring engine, :class:`repro.ultrascalar.ring.RingProcessor`.
 """
 
 from __future__ import annotations
@@ -40,7 +40,11 @@ class ProcessorConfig:
         self_timed: distance-dependent register forwarding — a result
             reaches a consumer after a delay proportional to the H-tree
             distance between the stations, instead of one global clock
-            (the paper's Section 7 self-timed discussion).
+            (the paper's Section 7 self-timed discussion).  All three
+            designs apply the same rule, one cycle per H-tree level
+            between the station positions: the Ultrascalar II uses it
+            across its whole window, as the hybrid already does inside
+            its Ultrascalar II clusters.
         max_cycles: watchdog against livelock in broken configurations.
     """
 
@@ -197,8 +201,9 @@ def make_ultrascalar2(
     tracer=None,
     cycle_hook=None,
 ):
-    """Build an Ultrascalar II: no wrap-around; the station batch refills
-    only when every station in it has finished."""
+    """Build an Ultrascalar II: the ring with one cluster spanning the
+    window, so the station batch refills only when every station in it
+    has finished."""
     from repro.ultrascalar.us2 import BatchProcessor
 
     return BatchProcessor(

@@ -1,4 +1,4 @@
-"""The Ultrascalar ring processor (Ultrascalar I and the hybrid).
+"""The Ultrascalar ring processor: one engine for all three designs.
 
 A wrap-around ring of ``n`` execution stations.  Register values flow
 from each writer to younger readers through one CSPP circuit per
@@ -20,9 +20,20 @@ The model is cycle-accurate with respect to the paper's timing rules:
 * a station is deallocated and refilled once it and every older
   station have finished.
 
-With ``cluster_size = C > 1`` the ring refills C stations at a time —
-the hybrid's clusters acting as "super execution stations".  The
-scheduling policy is otherwise identical, as the paper requires.
+Stations are deallocated ``cluster_size = C`` at a time.  That refill
+granularity is the only behavioural difference between the paper's
+three designs:
+
+* ``C = 1`` is the Ultrascalar I: each station refills on its own;
+* ``1 < C < n`` is the hybrid: clusters act as "super execution
+  stations" and refill as a unit;
+* ``C = n`` is the Ultrascalar II: one cluster spans the window, so the
+  batch refills only when every station in it has committed ("stations
+  idle waiting for everyone to finish before refilling").  The oldest
+  station is then always position 0 and the ring never wraps, which is
+  the non-wrap-around grid datapath.
+
+The scheduling policy is otherwise identical, as the paper requires.
 """
 
 from __future__ import annotations
@@ -33,12 +44,13 @@ from repro.circuits.cspp import cyclic_segmented_and
 from repro.frontend.branch_predictor import BranchPredictor
 from repro.frontend.fetch import FetchUnit
 from repro.isa.interpreter import StepOutcome, alu_result, branch_taken
-from repro.isa.opcodes import Opcode
+from repro.isa.opcodes import OpClass, Opcode
 from repro.isa.program import Program
 from repro.telemetry.session import resolve_tracer
 from repro.telemetry.tracer import Tracer
 from repro.ultrascalar.memsys import MemorySystem
 from repro.ultrascalar.processor import ProcessorConfig, ProcessorResult, TimingRecord
+from repro.ultrascalar.scheduler import prioritized_grants
 from repro.ultrascalar.station import Station, StationState
 from repro.util.bitops import to_unsigned, tree_level_distance
 
@@ -84,6 +96,12 @@ class RingProcessor:
 
         self.stations = [Station(i) for i in range(self.n)]
         self.oldest = 0  # ring position holding the oldest instruction
+        #: occupied stations, oldest first: the run of the ring starting
+        #: at ``oldest``.  Fetch appends, a squash truncates after the
+        #: branch, deallocation drops whole clusters from the front.
+        self.window: list[Station] = []
+        #: how many leading stations of ``window`` have committed
+        self._committed_count = 0
         self.committed_regs = list(initial_registers or [0] * self.L)
         if len(self.committed_regs) != self.L:
             raise ValueError("initial register file has wrong size")
@@ -93,7 +111,12 @@ class RingProcessor:
         # opt-in per-cycle observer (see repro.verify.invariants); None in
         # normal runs, so the only cost is one attribute test per cycle
         self._cycle_hook = cycle_hook
-        self._refill_mode = "per_station" if cluster_size == 1 else "per_cluster"
+        if cluster_size == 1:
+            self._refill_mode = "per_station"
+        elif cluster_size == self.n:
+            self._refill_mode = "whole_batch"
+        else:
+            self._refill_mode = "per_cluster"
         self.fetch = fetch_unit or FetchUnit(program, predictor, width=config.fetch_width)
         self.cycle = 0
         self.seq = 0
@@ -111,24 +134,6 @@ class RingProcessor:
         self._reg_source_cycle: list[int] = [0] * self.L
 
     # ------------------------------------------------------------------
-    # ring helpers
-    # ------------------------------------------------------------------
-
-    def _ring_order(self) -> list[int]:
-        """Station positions from oldest to youngest slot."""
-        return [(self.oldest + k) % self.n for k in range(self.n)]
-
-    def _occupied_in_order(self) -> list[Station]:
-        """Occupied stations oldest-first (a contiguous prefix of the ring)."""
-        stations = []
-        for pos in self._ring_order():
-            station = self.stations[pos]
-            if not station.occupied:
-                break
-            stations.append(station)
-        return stations
-
-    # ------------------------------------------------------------------
     # per-cycle phases
     # ------------------------------------------------------------------
 
@@ -137,12 +142,10 @@ class RingProcessor:
 
         Because clusters free as a unit (see :meth:`_phase_commit`), the
         empty positions always form the contiguous tail of the ring
-        order, so filling them in order preserves ring contiguity.
+        order, so each instruction takes the position just past the
+        youngest occupied station.
         """
-        order = self._ring_order()
-        occupied = len(self._occupied_in_order())
-        free_positions = order[occupied:]
-        budget = min(self.config.fetch_width, len(free_positions))
+        budget = min(self.config.fetch_width, self.n - len(self.window))
         if budget == 0 or self.fetch.stalled():
             if self._tracing:
                 if self.fetch.stalled():
@@ -154,9 +157,13 @@ class RingProcessor:
         if self._tracing and fetched:
             self.tracer.count("fetch.cycles_active")
             self.tracer.count("fetch.instructions", len(fetched))
-        for fetched_inst, pos in zip(fetched, free_positions):
-            self.stations[pos].load(fetched_inst, self.seq, self.cycle)
+        pos = (self.oldest + len(self.window)) % self.n
+        for fetched_inst in fetched:
+            station = self.stations[pos]
+            station.load(fetched_inst, self.seq, self.cycle)
+            self.window.append(station)
             self.seq += 1
+            pos = (pos + 1) % self.n
 
     def _register_views(self, occupied: list[Station]) -> list[_RegView]:
         """Each occupied station's incoming register view (CSPP semantics).
@@ -203,14 +210,8 @@ class RingProcessor:
             return 1
         return max(1, tree_level_distance(producer_pos, consumer_pos))
 
-    def _source_ready(self, view: _RegView, reg: int, consumer: Station) -> bool:
-        """Is register *reg* usable by *consumer* this cycle?"""
-        if not view.ready[reg]:
-            return False
-        # Writers may be tracked for telemetry alone; only the self-timed
-        # mode charges distance-dependent latency.
-        if view.writers is None or not self.config.self_timed:
-            return True
+    def _arrived(self, view: _RegView, reg: int, consumer: Station) -> bool:
+        """Self-timed mode: has ready register *reg* reached *consumer*?"""
         writer = view.writers[reg]
         if writer is not None:
             latency = self._forward_latency(writer.index, consumer.index)
@@ -239,10 +240,16 @@ class RingProcessor:
         mem_ok = []
         branch_ok = []
         for station in occupied:
-            inst = station.fetched.instruction
-            store_ok.append(not inst.is_store or station.done)
-            mem_ok.append(not inst.is_memory or station.done)
-            branch_ok.append(not inst.is_control or station.done)
+            # a finished station meets all three conditions
+            if station.state is StationState.DONE:
+                store_ok.append(True)
+                mem_ok.append(True)
+                branch_ok.append(True)
+            else:
+                inst = station.fetched.instruction
+                store_ok.append(not inst.is_store)
+                mem_ok.append(not inst.is_memory)
+                branch_ok.append(not inst.is_control)
         # Cyclic segmented AND with the oldest station raising its segment
         # bit: output[i] = AND of conditions of all older stations.  The
         # circuit's wrap-around output at the oldest station itself is
@@ -260,14 +267,9 @@ class RingProcessor:
         """Shared-ALU arbitration (Memo 2): grant the oldest requesters.
 
         Returns per-occupied-station permission to start executing on an
-        ALU this cycle.  With ``num_alus=None`` every candidate is
-        granted (one ALU per station, as the paper's layouts replicate).
+        ALU this cycle.  Only called with ``num_alus`` set; without it
+        every candidate has its own ALU, as the paper's layouts replicate.
         """
-        from repro.isa.opcodes import OpClass
-        from repro.ultrascalar.scheduler import prioritized_grants
-
-        if self.config.num_alus is None:
-            return list(candidates)
         busy = sum(
             1
             for s in occupied
@@ -308,9 +310,11 @@ class RingProcessor:
     def _phase_issue(self, occupied: list[Station], views: list[_RegView]) -> None:
         stores_done, mem_done, branches_resolved = self._ordering_conditions(occupied)
 
-        # pass 1: who could issue this cycle?
+        # Writers may be tracked for telemetry alone; only the self-timed
+        # mode charges distance-dependent latency.
+        self_timed = self.config.self_timed
+        # pass 1: who could issue this cycle?  (dict order is age order)
         ready_operands: dict[int, tuple[int, ...]] = {}
-        candidates = [False] * len(occupied)
         for idx, station in enumerate(occupied):
             if station.state is not StationState.WAITING:
                 continue
@@ -321,7 +325,7 @@ class RingProcessor:
             for reg in (inst.rs1, inst.rs2):
                 if reg is None:
                     continue
-                if not self._source_ready(view, reg, station):
+                if not view.ready[reg] or (self_timed and not self._arrived(view, reg, station)):
                     all_ready = False
                     break
                 operands.append(view.values[reg])
@@ -331,29 +335,25 @@ class RingProcessor:
                 continue
             if inst.is_store and not (mem_done[idx] and branches_resolved[idx]):
                 continue
-            candidates[idx] = True
             ready_operands[idx] = tuple(operands)
 
         # pass 2: shared-ALU arbitration (memory ops use the memory
         # network, not the ALU pool)
-        alu_ok = self._alu_grants(
-            occupied,
-            [
-                candidates[i] and not occupied[i].fetched.instruction.is_memory
-                for i in range(len(occupied))
-            ],
-        )
+        alu_ok = None
+        if self.config.num_alus is not None:
+            requests = [False] * len(occupied)
+            for idx in ready_operands:
+                requests[idx] = not occupied[idx].fetched.instruction.is_memory
+            alu_ok = self._alu_grants(occupied, requests)
 
         issued = 0
-        for idx, station in enumerate(occupied):
-            if not candidates[idx]:
-                continue
+        for idx, operands in ready_operands.items():
+            station = occupied[idx]
             inst = station.fetched.instruction
-            if not inst.is_memory and not alu_ok[idx]:
+            if alu_ok is not None and not inst.is_memory and not alu_ok[idx]:
                 if self._tracing:
                     self.tracer.count("issue.alu_denied")
                 continue  # no free ALU this cycle; retry next cycle
-            operands = ready_operands[idx]
             station.operands = operands
             station.issue_cycle = self.cycle
             issued += 1
@@ -429,7 +429,7 @@ class RingProcessor:
                 station.taken = branch_taken(op, station.operands[0], station.operands[1])
                 actual_next = inst.target if station.taken else station.fetched.static_index + 1
                 if station.taken != station.fetched.predicted_taken:
-                    self._mispredict(station, actual_next)
+                    self._mispredict(idx, actual_next)
                     return  # younger stations were squashed; stop this phase
             elif op is Opcode.J:
                 station.taken = True
@@ -445,22 +445,18 @@ class RingProcessor:
                     inst.imm,
                 )
 
-    def _mispredict(self, station: Station, actual_next: int) -> None:
-        """Squash everything younger than *station* and redirect fetch."""
+    def _mispredict(self, idx: int, actual_next: int) -> None:
+        """Squash everything younger than ``window[idx]``; redirect fetch."""
         self.mispredictions += 1
-        order = self._ring_order()
-        past_branch = False
-        for pos in order:
-            current = self.stations[pos]
-            if past_branch and current.occupied:
-                if current.memory_request_id is not None and not current.done:
-                    self._cancelled_requests.add(current.memory_request_id)
-                current.clear()
-                self.squashed += 1
-            if current is station:
-                past_branch = True
+        window = self.window
+        for younger in window[idx + 1 :]:
+            if younger.memory_request_id is not None and not younger.done:
+                self._cancelled_requests.add(younger.memory_request_id)
+            younger.clear()
+        self.squashed += len(window) - idx - 1
+        del window[idx + 1 :]
         # rewind the fetch sequence numbering to just after the branch
-        self.seq = station.seq + 1
+        self.seq = window[idx].seq + 1
         self.fetch.redirect(actual_next)
 
     def _phase_memory(self, occupied: list[Station]) -> None:
@@ -492,14 +488,13 @@ class RingProcessor:
         aligned cluster of ``cluster_size`` stations only once every
         station in it has committed — the hybrid's "super execution
         station" behaviour.  With ``cluster_size == 1`` this is exactly
-        the Ultrascalar I's per-station reuse.
+        the Ultrascalar I's per-station reuse; with ``cluster_size == n``
+        it is the Ultrascalar II's whole-batch refill.
         """
-        for pos in self._ring_order():
-            station = self.stations[pos]
-            if not station.occupied:
-                break
-            if station.committed:
-                continue
+        window = self.window
+        count = self._committed_count
+        while count < len(window):
+            station = window[count]
             if not station.done:
                 break
             inst = station.fetched.instruction
@@ -539,6 +534,7 @@ class RingProcessor:
             if inst.is_halt:
                 self.halted = True
             station.committed = True
+            count += 1
             if self._tracing:
                 self.tracer.count("commit.instructions")
                 self.tracer.event(
@@ -553,19 +549,19 @@ class RingProcessor:
                     commit_cycle=self.cycle,
                 )
 
+        self._committed_count = count
+
         # Deallocate leading fully-committed clusters.  `oldest` is always
         # cluster-aligned: the initial fill starts at position 0 and
-        # clusters free as aligned units.
-        while True:
-            members = [
-                self.stations[(self.oldest + k) % self.n]
-                for k in range(self.cluster_size)
-            ]
-            if not all(s.occupied and s.committed for s in members):
-                break
-            for s in members:
-                s.clear()
-            self.oldest = (self.oldest + self.cluster_size) % self.n
+        # clusters free as aligned units.  Commitment is in order, so a
+        # cluster has fully committed once its youngest station has.
+        size = self.cluster_size
+        while self._committed_count >= size:
+            for station in window[:size]:
+                station.clear()
+            del window[:size]
+            self._committed_count -= size
+            self.oldest = (self.oldest + size) % self.n
             if self._tracing:
                 self.tracer.count(f"fetch.refills.{self._refill_mode}")
                 self.tracer.count("fetch.refilled_stations", self.cluster_size)
@@ -577,21 +573,26 @@ class RingProcessor:
     def step(self) -> None:
         """Advance the processor one clock cycle."""
         self._phase_fetch()
-        occupied = self._occupied_in_order()
+        window = self.window
         if self._tracing:
             self.tracer.count("cycles")
-            self.tracer.count("commit.window_occupancy", len(occupied))
-        views = self._register_views(occupied)
-        self._phase_issue(occupied, views)
-        self._phase_execute(occupied)
-        self._phase_memory(self._occupied_in_order())
+            self.tracer.count("commit.window_occupancy", len(window))
+        views = self._register_views(window)
+        self._phase_issue(window, views)
+        self._phase_execute(window)
+        self._phase_memory(window)  # a squash truncated it in place
         self._phase_commit()
         if self._cycle_hook is not None:
             self._cycle_hook(self)
         self.cycle += 1
 
     def _idle(self) -> bool:
-        return self.fetch.stalled() and not any(s.occupied for s in self.stations)
+        """Fetch has stopped and every occupied station has committed.
+
+        Not "every station is empty": a partly filled last cluster is
+        never freed, so a program without HALT would run forever.
+        """
+        return self.fetch.stalled() and self._committed_count == len(self.window)
 
     def run(self) -> ProcessorResult:
         """Run to completion (HALT committed, or program exhausted)."""

@@ -63,7 +63,7 @@ class Station:
     #: id of the outstanding memory request, if any
     memory_request_id: int | None = None
     #: architecturally committed, but the station is not yet freed
-    #: (hybrid clusters deallocate as a unit)
+    #: (clusters of stations deallocate as a unit)
     committed: bool = False
 
     @property

@@ -1,390 +1,24 @@
-"""The Ultrascalar II processor: a non-wrap-around batch datapath.
+"""The Ultrascalar II: the ring engine with one cluster spanning the window.
 
-"The Ultrascalar II as described is less efficient than the
-Ultrascalar I because its datapath does not wrap around.  As a result,
-stations idle waiting for everyone to finish before refilling."
-
-The model: up to ``n`` instructions fill a linear array of stations (the
-batch).  Arguments route through the grid network semantics — the
-nearest earlier writer in the batch, else the architectural register
-file (:func:`repro.circuits.grid.route_arguments` is the circuit-level
-equivalent, property-tested against this walk).  Instructions issue out
-of order as their arguments become ready; when every station in the
-batch has finished, the outgoing register values latch into the
-register file and the next batch begins on the following cycle.
-
-A branch misprediction squashes the younger stations of the batch and
-the corrected path refills those (never-used) stations; the batch still
-ends only when all of its stations have finished.
+"The Ultrascalar II as described is less efficient than the Ultrascalar
+I because its datapath does not wrap around.  As a result, stations idle
+waiting for everyone to finish before refilling."  With ``cluster_size =
+window_size`` the whole window refills as one batch, and the oldest
+station is always position 0, so the ring never wraps.
 """
 
-from __future__ import annotations
-
-from repro.circuits.prefix import segmented_scan
-from repro.frontend.branch_predictor import BranchPredictor
-from repro.frontend.fetch import FetchUnit
-from repro.isa.interpreter import StepOutcome, alu_result, branch_taken
-from repro.isa.opcodes import Opcode
-from repro.isa.program import Program
-from repro.telemetry.session import resolve_tracer
-from repro.telemetry.tracer import Tracer
-from repro.ultrascalar.memsys import MemorySystem
-from repro.ultrascalar.processor import ProcessorConfig, ProcessorResult, TimingRecord
-from repro.ultrascalar.ring import _RegView
-from repro.ultrascalar.station import Station, StationState
-from repro.util.bitops import to_unsigned, tree_level_distance
+from repro.ultrascalar.ring import RingProcessor
 
 
-class BatchProcessor:
-    """See module docstring."""
+class BatchProcessor(RingProcessor):
+    """A :class:`RingProcessor` whose single cluster spans the window."""
 
-    def __init__(
-        self,
-        program: Program,
-        config: ProcessorConfig,
-        predictor: BranchPredictor,
-        memory: MemorySystem,
-        initial_registers: list[int] | None = None,
-        fetch_unit: FetchUnit | None = None,
-        tracer: Tracer | None = None,
-        cycle_hook=None,
-    ):
-        self.program = program
-        self.config = config
-        self.predictor = predictor
-        self.memory = memory
-        self.n = config.window_size
-        self.L = program.spec.num_registers
-
-        self.registers = list(initial_registers or [0] * self.L)
-        if len(self.registers) != self.L:
-            raise ValueError("initial register file has wrong size")
-
-        self.tracer = resolve_tracer(tracer)
-        self._tracing = self.tracer.enabled
-        # opt-in per-cycle observer (see repro.verify.invariants); None in
-        # normal runs, so the only cost is one attribute test per cycle
-        self._cycle_hook = cycle_hook
-        self.fetch = fetch_unit or FetchUnit(program, predictor, width=config.fetch_width)
-        self.batch: list[Station] = []
-        self.batch_closed = False  # HALT fetched into this batch
-        self.commit_index = 0
-        self.cycle = 0
-        self.seq = 0
-        self.committed: list[StepOutcome] = []
-        self.timings: list[TimingRecord] = []
-        self.halted = False
-        self.squashed = 0
-        self.mispredictions = 0
-        self.batches_executed = 0
-        self._cancelled_requests: set[int] = set()
-
-    # ------------------------------------------------------------------
-
-    def _phase_fetch(self) -> None:
-        if self.batch_closed or self.fetch.stalled():
-            if self._tracing:
-                if self.fetch.stalled():
-                    self.tracer.count("fetch.stall_cycles.starved")
-                else:
-                    self.tracer.count("fetch.stall_cycles.window_full")
-            return
-        budget = min(self.config.fetch_width, self.n - len(self.batch))
-        if budget <= 0:
-            if self._tracing:
-                self.tracer.count("fetch.stall_cycles.window_full")
-            return
-        fetched_cycle = self.fetch.fetch_cycle(budget=budget)
-        if self._tracing and fetched_cycle:
-            self.tracer.count("fetch.cycles_active")
-            self.tracer.count("fetch.instructions", len(fetched_cycle))
-        for fetched in fetched_cycle:
-            station = Station(len(self.batch))
-            station.load(fetched, self.seq, self.cycle)
-            self.seq += 1
-            self.batch.append(station)
-            if fetched.instruction.is_halt:
-                self.batch_closed = True
-
-    def _register_views(self) -> list[_RegView]:
-        """Each station's view: the grid network's routed arguments."""
-        track_writers = self._tracing
-        values = list(self.registers)
-        ready = [True] * self.L
-        writers: list[Station | None] = [None] * self.L
-        views: list[_RegView] = []
-        for station in self.batch:
-            views.append(
-                _RegView(
-                    values=list(values),
-                    ready=list(ready),
-                    writers=list(writers) if track_writers else None,
-                )
-            )
-            reg = station.writes_register
-            if reg is not None:
-                if station.done and station.result is not None:
-                    values[reg] = station.result
-                    ready[reg] = True
-                else:
-                    values[reg] = 0
-                    ready[reg] = False
-                if track_writers:
-                    writers[reg] = station
-        return views
-
-    def _ordering_conditions(self) -> tuple[list[bool], list[bool], list[bool]]:
-        """Noncyclic segmented-AND conditions (prior batches are all done)."""
-        store_ok, mem_ok, branch_ok = [], [], []
-        for station in self.batch:
-            inst = station.fetched.instruction
-            store_ok.append(not inst.is_store or station.done)
-            mem_ok.append(not inst.is_memory or station.done)
-            branch_ok.append(not inst.is_control or station.done)
-        no_segments = [False] * len(self.batch)
-        and_op = lambda a, b: a and b  # noqa: E731
-        return (
-            segmented_scan(store_ok, no_segments, and_op, True),
-            segmented_scan(mem_ok, no_segments, and_op, True),
-            segmented_scan(branch_ok, no_segments, and_op, True),
+    def __init__(self, program, config, predictor, memory, **kwargs):
+        super().__init__(
+            program, config, predictor, memory, cluster_size=config.window_size, **kwargs
         )
 
-    def _trace_issue(self, station: Station, view: _RegView, inst) -> None:
-        """Record forwarding provenance and memory traffic for one issue."""
-        for reg in (inst.rs1, inst.rs2):
-            if reg is None:
-                continue
-            writer = view.writers[reg] if view.writers is not None else None
-            if writer is not None:
-                hops = tree_level_distance(writer.index, station.index)
-                self.tracer.count("forward.from_station")
-                self.tracer.count(f"forward.hops.{hops}")
-                self.tracer.count("forward.latency_cycles")
-            else:
-                self.tracer.count("forward.from_regfile")
-        if inst.is_load:
-            self.tracer.count("mem.loads")
-        elif inst.is_store:
-            self.tracer.count("mem.stores")
-
-    def _phase_issue(self, views: list[_RegView]) -> None:
-        stores_done, mem_done, branches_resolved = self._ordering_conditions()
-        issued = 0
-        for idx, station in enumerate(self.batch):
-            if station.state is not StationState.WAITING:
-                continue
-            inst = station.fetched.instruction
-            view = views[idx]
-            operands = []
-            all_ready = True
-            for reg in (inst.rs1, inst.rs2):
-                if reg is None:
-                    continue
-                if not view.ready[reg]:
-                    all_ready = False
-                    break
-                operands.append(view.values[reg])
-            if not all_ready:
-                continue
-            if inst.is_load and not stores_done[idx]:
-                continue
-            if inst.is_store and not (mem_done[idx] and branches_resolved[idx]):
-                continue
-            station.operands = tuple(operands)
-            station.issue_cycle = self.cycle
-            issued += 1
-            if self._tracing:
-                self._trace_issue(station, view, inst)
-            if inst.is_load:
-                station.address = to_unsigned(operands[0] + inst.imm)
-                station.memory_request_id = self.memory.submit_load(
-                    station.address, leaf=station.index
-                )
-                station.state = StationState.MEMORY
-            elif inst.is_store:
-                station.address = to_unsigned(operands[0] + inst.imm)
-                station.memory_request_id = self.memory.submit_store(
-                    station.address, operands[1], leaf=station.index
-                )
-                station.state = StationState.MEMORY
-            else:
-                station.state = StationState.EXECUTING
-                station.remaining = self.config.latencies.latency_of(inst.op)
-        if self._tracing and issued:
-            self.tracer.count("issue.cycles_active")
-            self.tracer.count("issue.instructions", issued)
-
-    def _phase_execute(self) -> None:
-        for station in list(self.batch):
-            if station.state is not StationState.EXECUTING:
-                continue
-            station.remaining -= 1
-            if station.remaining > 0:
-                continue
-            inst = station.fetched.instruction
-            station.state = StationState.DONE
-            station.complete_cycle = self.cycle
-            op = inst.op
-            if inst.is_branch:
-                station.taken = branch_taken(op, station.operands[0], station.operands[1])
-                actual_next = inst.target if station.taken else station.fetched.static_index + 1
-                if station.taken != station.fetched.predicted_taken:
-                    self._mispredict(station, actual_next)
-                    return
-            elif op is Opcode.J:
-                station.taken = True
-            elif op in (Opcode.HALT, Opcode.NOP):
-                pass
-            else:
-                station.result = alu_result(
-                    op,
-                    station.operands[0] if station.operands else 0,
-                    station.operands[1] if len(station.operands) > 1 else 0,
-                    inst.imm,
-                )
-
-    def _mispredict(self, station: Station, actual_next: int) -> None:
-        self.mispredictions += 1
-        position = self.batch.index(station)
-        for squashed in self.batch[position + 1 :]:
-            if squashed.memory_request_id is not None and not squashed.done:
-                self._cancelled_requests.add(squashed.memory_request_id)
-            self.squashed += 1
-        del self.batch[position + 1 :]
-        self.batch_closed = False
-        self.seq = station.seq + 1
-        self.fetch.redirect(actual_next)
-
-    def _phase_memory(self) -> None:
-        completions = self.memory.tick()
-        if not completions:
-            return
-        by_request = {
-            station.memory_request_id: station
-            for station in self.batch
-            if station.state is StationState.MEMORY
-        }
-        for request_id, value in completions.items():
-            if request_id in self._cancelled_requests:
-                self._cancelled_requests.discard(request_id)
-                continue
-            station = by_request.get(request_id)
-            if station is None:
-                continue
-            station.state = StationState.DONE
-            station.complete_cycle = self.cycle
-            if station.fetched.instruction.is_load:
-                station.result = value
-
-    def _phase_commit(self) -> None:
-        """Commit in order; recycle the batch when everyone has finished."""
-        while self.commit_index < len(self.batch):
-            station = self.batch[self.commit_index]
-            if not station.done:
-                break
-            inst = station.fetched.instruction
-            reg = station.writes_register
-            if reg is not None and station.result is not None:
-                self.registers[reg] = station.result
-            next_pc = station.fetched.static_index + 1
-            if inst.is_control and station.taken:
-                next_pc = inst.target
-            self.committed.append(
-                StepOutcome(
-                    static_index=station.fetched.static_index,
-                    instruction=inst,
-                    operand_values=station.operands,
-                    result=station.result,
-                    address=station.address,
-                    taken=station.taken,
-                    next_pc=next_pc,
-                )
-            )
-            self.timings.append(
-                TimingRecord(
-                    seq=station.seq,
-                    static_index=station.fetched.static_index,
-                    instruction=inst,
-                    fetch_cycle=station.fetch_cycle,
-                    issue_cycle=station.issue_cycle,
-                    complete_cycle=station.complete_cycle,
-                    commit_cycle=self.cycle,
-                )
-            )
-            if inst.is_branch:
-                self.predictor.update(station.fetched.static_index, bool(station.taken))
-            if inst.is_halt:
-                self.halted = True
-            self.commit_index += 1
-            if self._tracing:
-                self.tracer.count("commit.instructions")
-                self.tracer.event(
-                    str(inst),
-                    cat="instruction",
-                    ts=station.issue_cycle,
-                    dur=station.complete_cycle - station.issue_cycle + 1,
-                    tid=station.index,
-                    seq=station.seq,
-                    static_index=station.fetched.static_index,
-                    fetch_cycle=station.fetch_cycle,
-                    commit_cycle=self.cycle,
-                )
-
-        # Batch recycles only when completely done AND it cannot grow.
-        batch_full = len(self.batch) >= self.n
-        no_more = self.fetch.stalled() or self.batch_closed
-        if self.batch and self.commit_index == len(self.batch) and (batch_full or no_more):
-            if self._tracing:
-                self.tracer.count("fetch.refills.whole_batch")
-                self.tracer.count("fetch.refilled_stations", len(self.batch))
-            self.batch = []
-            self.commit_index = 0
-            self.batch_closed = False
-            self.batches_executed += 1
-
-    # ------------------------------------------------------------------
-
-    def step(self) -> None:
-        """Advance one clock cycle."""
-        self._phase_fetch()
-        if self._tracing:
-            self.tracer.count("cycles")
-            self.tracer.count("commit.window_occupancy", len(self.batch))
-        views = self._register_views()
-        self._phase_issue(views)
-        self._phase_execute()
-        self._phase_memory()
-        self._phase_commit()
-        if self._cycle_hook is not None:
-            self._cycle_hook(self)
-        self.cycle += 1
-
-    def _idle(self) -> bool:
-        return self.fetch.stalled() and not self.batch
-
-    def run(self) -> ProcessorResult:
-        """Run to completion (HALT committed, or program exhausted)."""
-        while not self.halted and not self._idle():
-            if self.cycle >= self.config.max_cycles:
-                raise RuntimeError(f"exceeded max_cycles={self.config.max_cycles}")
-            self.step()
-        if self._tracing:
-            self.tracer.count("commit.squashed", self.squashed)
-            self.tracer.count("commit.mispredictions", self.mispredictions)
-            memory_counters = getattr(self.memory, "counters", None)
-            if memory_counters is not None:
-                for name, value in memory_counters().items():
-                    self.tracer.count(name, value)
-            for name, value in self.fetch.counters().items():
-                self.tracer.count(name, value)
-        return ProcessorResult(
-            cycles=self.cycle,
-            committed=self.committed,
-            registers=list(self.registers),
-            memory=self.memory.final_state(),
-            timings=self.timings,
-            halted=self.halted,
-            squashed=self.squashed,
-            mispredictions=self.mispredictions,
-            stats=self.tracer.snapshot(),
-        )
+    # An entry of its own, not an override: perfbench/spans.py wraps
+    # ``BatchProcessor.__dict__["run"]``, and a ``super().run()`` override
+    # would nest two US-II run spans and count each run twice.
+    run = RingProcessor.run

@@ -1,10 +1,10 @@
 """Engine-internal invariant checking (the opt-in per-cycle observer).
 
-An :class:`InvariantChecker` is a callable passed as the engines'
-``cycle_hook``; both :class:`~repro.ultrascalar.ring.RingProcessor` and
-:class:`~repro.ultrascalar.us2.BatchProcessor` invoke it once at the end
-of every :meth:`step`.  Normal runs pass no hook, so they execute
-exactly the pre-verification code.
+An :class:`InvariantChecker` is a callable passed as the engine's
+``cycle_hook``; :class:`~repro.ultrascalar.ring.RingProcessor`, which
+runs all three designs, invokes it once at the end of every
+:meth:`step`.  Normal runs pass no hook, so they execute exactly the
+pre-verification code.
 
 Checked properties (violations raise :class:`InvariantViolation`):
 
@@ -16,22 +16,24 @@ Checked properties (violations raise :class:`InvariantViolation`):
   ready bit asserted into the prefix network), it stays DONE until the
   station is deallocated or squashed; a ready bit never de-asserts while
   the same instruction occupies the station.
-* **Ordering-condition consistency** (ring) — the engine's CSPP-derived
+* **Ordering-condition consistency** — the engine's CSPP-derived
   Figure 5 conditions (stores done / memory done / branches resolved for
   all older stations) equal a naive O(n²) recomputation; the segmented
   prefix circuit and the specification walk must agree every cycle.
-* **Single-writer-per-column routing** (US-II grid) — the batch's
-  register views equal :func:`repro.circuits.grid.route_arguments`, the
-  behavioural reference for the grid network: each station's arguments
-  come from the *nearest* preceding writer column (of which each station
-  contributes at most one), else the incoming register file.
+* **Single-writer-per-column routing** (US-II grid, on engines whose one
+  cluster spans the window) — the window's register views equal
+  :func:`repro.circuits.grid.route_arguments`, the behavioural reference
+  for the grid network: each station's arguments come from the
+  *nearest* preceding writer column (of which each station contributes
+  at most one), else the committed register file.
 """
 
 from __future__ import annotations
 
+import weakref
+
 from repro.circuits.grid import RegisterBinding, route_arguments
 from repro.ultrascalar.ring import RingProcessor
-from repro.ultrascalar.us2 import BatchProcessor
 
 
 class InvariantViolation(AssertionError):
@@ -42,30 +44,29 @@ class InvariantChecker:
     """Per-cycle invariant observer; install as an engine ``cycle_hook``.
 
     One checker can watch several engines at once (it keys its
-    bookkeeping by engine identity), so a differential run can share a
-    single instance across all designs.  :attr:`checks` counts the
-    individual property evaluations performed, for reporting.
+    bookkeeping by the engine object, weakly, so a freed engine's state
+    never passes to a new engine that reuses its ``id``), and a
+    differential run can share a single instance across all designs.
+    :attr:`checks` counts the individual property evaluations performed,
+    for reporting.
     """
 
     def __init__(self) -> None:
         self.checks = 0
-        #: per engine id: last observed (seq, done) per station position
-        self._done_seen: dict[int, dict[int, int]] = {}
-        #: per engine id: committed-stream length already validated
-        self._commit_cursor: dict[int, int] = {}
+        #: per engine: last observed seq of each DONE station position
+        self._done_seen: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        #: per engine: committed-stream length already validated
+        self._commit_cursor: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------
 
-    def __call__(self, engine) -> None:
-        if isinstance(engine, RingProcessor):
-            stations = engine._occupied_in_order()
-            self._check_commit_fifo(engine)
-            self._check_done_monotonic(engine, stations)
-            self._check_ring_ordering(engine, stations)
-        elif isinstance(engine, BatchProcessor):
-            self._check_commit_fifo(engine)
-            self._check_done_monotonic(engine, engine.batch)
-            self._check_batch_routing(engine)
+    def __call__(self, engine: RingProcessor) -> None:
+        stations = engine.window
+        self._check_commit_fifo(engine)
+        self._check_done_monotonic(engine, stations)
+        self._check_ring_ordering(engine, stations)
+        if engine.cluster_size == engine.n:
+            self._check_grid_routing(engine, stations)
 
     # ------------------------------------------------------------------
 
@@ -75,7 +76,7 @@ class InvariantChecker:
     def _check_commit_fifo(self, engine) -> None:
         """Committed stream is FIFO and follows the architectural path."""
         self.checks += 1
-        start = self._commit_cursor.get(id(engine), 0)
+        start = self._commit_cursor.get(engine, 0)
         timings = engine.timings
         committed = engine.committed
         for k in range(max(1, start), len(committed)):
@@ -92,25 +93,22 @@ class InvariantChecker:
                     f"is instruction {committed[k].static_index}, expected "
                     f"{committed[k - 1].next_pc}",
                 )
-        self._commit_cursor[id(engine)] = len(committed)
+        self._commit_cursor[engine] = len(committed)
 
     def _check_done_monotonic(self, engine, stations) -> None:
         """A DONE (ready) station stays DONE until deallocated/squashed."""
         self.checks += 1
-        seen = self._done_seen.setdefault(id(engine), {})
-        current: dict[int, int] = {}
-        for station in stations:
-            if station.done:
-                current[station.index] = station.seq
+        seen = self._done_seen.get(engine, {})
+        held = {station.index: station.seq for station in stations}
+        current = {station.index: station.seq for station in stations if station.done}
         for position, seq in seen.items():
-            still_here = any(s.index == position and s.seq == seq for s in stations)
-            if still_here and current.get(position) != seq:
+            if held.get(position) == seq and current.get(position) != seq:
                 self._fail(
                     engine,
                     f"ready bit de-asserted: station {position} (seq {seq}) "
                     "was DONE and is no longer",
                 )
-        self._done_seen[id(engine)] = current
+        self._done_seen[engine] = current
 
     def _check_ring_ordering(self, engine: RingProcessor, occupied) -> None:
         """Engine's CSPP ordering conditions equal the naive walk."""
@@ -138,15 +136,14 @@ class InvariantChecker:
                         f"specification walk: circuit {g}, walk {w}",
                     )
 
-    def _check_batch_routing(self, engine: BatchProcessor) -> None:
-        """Batch register views equal the grid network's routed arguments."""
+    def _check_grid_routing(self, engine: RingProcessor, window) -> None:
+        """Register views equal the grid network's routed arguments."""
         self.checks += 1
-        batch = engine.batch
-        if not batch:
+        if not window:
             return
         writes: list[RegisterBinding | None] = []
         reads: list[list[int]] = []
-        for station in batch:
+        for station in window:
             reg = station.writes_register
             if reg is None:
                 writes.append(None)
@@ -162,12 +159,12 @@ class InvariantChecker:
             reads.append(list(station.fetched.instruction.reads))
         routed = route_arguments(
             engine.L,
-            [(value, True) for value in engine.registers],
+            [(value, True) for value in engine.committed_regs],
             writes,
             reads,
         )
-        views = engine._register_views()
-        for idx, (station, requested) in enumerate(zip(batch, reads)):
+        views = engine._register_views(window)
+        for idx, requested in enumerate(reads):
             for port, reg in enumerate(requested):
                 want = routed.arguments[idx][port]
                 got = (views[idx].values[reg], views[idx].ready[reg])

@@ -5,14 +5,17 @@
 * self-timed distance-dependent forwarding.
 
 Each must preserve architectural correctness (golden equivalence) while
-changing timing in the direction the paper predicts.
+changing timing in the direction the paper predicts, on every design:
+the tests run each check for the Ultrascalar I, the Ultrascalar II and
+the hybrid, which share one engine and so honour the same knobs.
 """
 
 import pytest
 
 from repro.isa import assemble
+from repro.api import build_processor
 from repro.isa.interpreter import MachineState, run_program
-from repro.ultrascalar import IdealMemory, ProcessorConfig, make_ultrascalar1
+from repro.ultrascalar import IdealMemory, ProcessorConfig
 from repro.workloads import (
     daxpy_loop,
     dependency_chain,
@@ -23,15 +26,16 @@ from repro.workloads import (
 )
 
 
-def run_config(workload, load_latency=1, **config_kwargs):
+DESIGNS = ("us1", "us2", "hybrid")
+
+
+def run_config(workload, design="us1", load_latency=1, **config_kwargs):
     config = ProcessorConfig(window_size=16, fetch_width=8, **config_kwargs)
     memory = IdealMemory(load_latency=load_latency)
     memory.load_image(workload.memory_image)
-    processor = make_ultrascalar1(
-        workload.program, config, memory=memory,
-        initial_registers=workload.registers_for(),
+    return build_processor(design, config, cluster_size=4).run(
+        workload.program, memory=memory, initial_registers=workload.registers_for(),
     )
-    return processor.run()
 
 
 def assert_golden(workload, result):
@@ -50,59 +54,68 @@ class TestSharedAlus:
     @pytest.mark.parametrize("num_alus", [1, 2, 4, 8])
     def test_correct_at_any_pool_size(self, num_alus):
         workload = random_ilp(40, 0.3, seed=201)
-        result = run_config(workload, num_alus=num_alus)
-        assert_golden(workload, result)
+        for design in DESIGNS:
+            assert_golden(workload, run_config(workload, design, num_alus=num_alus))
 
     def test_ipc_capped_by_pool(self):
         workload = independent_ops(40)
-        for num_alus in (1, 2, 4):
-            result = run_config(workload, num_alus=num_alus)
-            assert result.ipc <= num_alus + 0.1
+        for design in DESIGNS:
+            for num_alus in (1, 2, 4):
+                result = run_config(workload, design, num_alus=num_alus)
+                assert result.ipc <= num_alus + 0.1, (design, num_alus)
 
     def test_ipc_grows_with_pool(self):
         workload = independent_ops(40)
-        ipcs = [run_config(workload, num_alus=k).ipc for k in (1, 2, 4, 8)]
-        assert ipcs == sorted(ipcs)
-        assert ipcs[-1] > 2 * ipcs[0]
+        for design in DESIGNS:
+            ipcs = [run_config(workload, design, num_alus=k).ipc for k in (1, 2, 4, 8)]
+            assert ipcs == sorted(ipcs), design
+            assert ipcs[-1] > 2 * ipcs[0], design
 
     def test_big_pool_equals_unlimited(self):
         workload = random_ilp(40, 0.4, seed=202)
-        pooled = run_config(workload, num_alus=16)  # = window size
-        unlimited = run_config(workload)
-        assert pooled.cycles == unlimited.cycles
+        for design in DESIGNS:
+            pooled = run_config(workload, design, num_alus=16)  # = window size
+            unlimited = run_config(workload, design)
+            assert pooled.cycles == unlimited.cycles, design
 
     def test_serial_chain_insensitive_to_pool(self):
         # ILP = 1: one ALU is as good as sixteen
         workload = dependency_chain(25)
-        assert run_config(workload, num_alus=1).cycles == run_config(workload).cycles
+        for design in DESIGNS:
+            one = run_config(workload, design, num_alus=1)
+            assert one.cycles == run_config(workload, design).cycles, design
 
     def test_memory_ops_bypass_the_pool(self):
         workload = daxpy_loop(5)
-        result = run_config(workload, num_alus=1)
-        assert_golden(workload, result)
+        for design in DESIGNS:
+            assert_golden(workload, run_config(workload, design, num_alus=1))
 
 
 class TestStoreForwarding:
     def test_correctness_preserved(self):
         workload = store_load_pairs(6)
-        result = run_config(workload, store_forwarding=True)
-        assert_golden(workload, result)
+        for design in DESIGNS:
+            assert_golden(workload, run_config(workload, design, store_forwarding=True))
 
     def test_loads_are_forwarded(self):
         workload = store_load_pairs(6)
-        result = run_config(workload, store_forwarding=True)
-        assert result.forwarded_loads >= 4
+        for design in DESIGNS:
+            result = run_config(workload, design, store_forwarding=True)
+            assert result.forwarded_loads >= 4, design
 
     def test_no_forwarding_without_flag(self):
         workload = store_load_pairs(6)
-        result = run_config(workload)
-        assert result.forwarded_loads == 0
+        for design in DESIGNS:
+            assert run_config(workload, design).forwarded_loads == 0, design
 
     def test_forwarding_reduces_memory_latency_cost(self):
         workload = store_load_pairs(6)
-        slow_plain = run_config(workload, load_latency=8)
-        slow_forwarded = run_config(workload, load_latency=8, store_forwarding=True)
-        assert slow_forwarded.cycles < slow_plain.cycles
+        for design in DESIGNS:
+            slow_plain = run_config(workload, design, load_latency=8)
+            slow_forwarded = run_config(
+                workload, design, load_latency=8, store_forwarding=True
+            )
+            assert slow_forwarded.cycles < slow_plain.cycles, design
 
     def test_forwards_nearest_store_not_an_older_one(self):
         source = """
@@ -120,50 +133,54 @@ class TestStoreForwarding:
         program = assemble(source)
         golden = run_program(program)
         config = ProcessorConfig(window_size=16, fetch_width=16, store_forwarding=True)
-        result = make_ultrascalar1(program, config, memory=IdealMemory()).run()
-        assert result.registers == golden.state.registers
-        assert result.registers[4] == 2
-        assert result.forwarded_loads == 1
+        for design in DESIGNS:
+            result = build_processor(design, config).run(program, memory=IdealMemory())
+            assert result.registers == golden.state.registers, design
+            assert result.registers[4] == 2, design
+            assert result.forwarded_loads == 1, design
 
     def test_daxpy_still_correct_with_forwarding(self):
         workload = daxpy_loop(6)
-        result = run_config(workload, store_forwarding=True)
-        assert_golden(workload, result)
+        for design in DESIGNS:
+            assert_golden(workload, run_config(workload, design, store_forwarding=True))
 
 
 class TestSelfTimed:
     def test_correctness_preserved(self):
         workload = random_ilp(40, 0.5, seed=203)
-        result = run_config(workload, self_timed=True)
-        assert_golden(workload, result)
+        for design in DESIGNS:
+            assert_golden(workload, run_config(workload, design, self_timed=True))
 
     def test_neighbour_chains_beat_far_chains(self):
         """The paper's claim: programs depending on immediate
         predecessors run faster self-timed than far-dependent ones."""
         near = spaced_chain(48, 1)
         far = spaced_chain(48, 8)
-        near_cycles = run_config(near, self_timed=True).cycles
-        far_cycles = run_config(far, self_timed=True).cycles
-        # same chain length (48 links at distance 1 vs 6 links + filler);
-        # compare per-link cost instead: time per dependent hop
-        near_per_hop = near_cycles / 48
-        far_per_hop = far_cycles / 6
-        assert near_per_hop < far_per_hop
+        for design in DESIGNS:
+            near_cycles = run_config(near, design, self_timed=True).cycles
+            far_cycles = run_config(far, design, self_timed=True).cycles
+            # same chain length (48 links at distance 1 vs 6 links + filler);
+            # compare per-link cost instead: time per dependent hop
+            near_per_hop = near_cycles / 48
+            far_per_hop = far_cycles / 6
+            assert near_per_hop < far_per_hop, design
 
     def test_global_clock_is_distance_blind(self):
         near = spaced_chain(32, 1)
-        result_near = run_config(near)
-        result_near_st = run_config(near, self_timed=True)
-        # self-timed can only slow things down in cycle counts (its win
-        # is that a "cycle" is a local hop, not the full-chip wire)
-        assert result_near_st.cycles >= result_near.cycles
+        for design in DESIGNS:
+            result_near = run_config(near, design)
+            result_near_st = run_config(near, design, self_timed=True)
+            # self-timed can only slow things down in cycle counts (its win
+            # is that a "cycle" is a local hop, not the full-chip wire)
+            assert result_near_st.cycles >= result_near.cycles, design
 
     def test_adjacent_dependences_mostly_single_cycle(self):
         near = spaced_chain(48, 1)
-        global_clock = run_config(near).cycles
-        self_timed = run_config(near, self_timed=True).cycles
-        # 3/4 of successor hops are intra-quadrant: the slowdown is mild
-        assert self_timed <= global_clock * 1.6
+        for design in DESIGNS:
+            global_clock = run_config(near, design).cycles
+            self_timed = run_config(near, design, self_timed=True).cycles
+            # 3/4 of successor hops are intra-quadrant: the slowdown is mild
+            assert self_timed <= global_clock * 1.6, design
 
 
 class TestConfigValidation:

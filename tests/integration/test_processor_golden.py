@@ -7,6 +7,8 @@ window sizes, cluster sizes, predictors, and memory systems.
 
 import pytest
 
+from repro.api import build_processor
+from repro.isa import assemble
 from repro.frontend.branch_predictor import AlwaysNotTaken, AlwaysTaken, BimodalPredictor
 from repro.isa.interpreter import MachineState, run_program
 from repro.memory.interleaved_cache import InterleavedCache
@@ -105,6 +107,16 @@ class TestClusterSizes:
         assert_matches_golden(
             workload, build(workload, "hyb", window=16, cluster=cluster).run()
         )
+
+
+@pytest.mark.parametrize("kind", ["us1", "us2", "hybrid"])
+def test_program_without_halt_finishes(kind):
+    """Running off the end stops once every instruction has committed;
+    a partly filled last cluster must not keep the engine spinning."""
+    program = assemble("li r1, 3\naddi r2, r1, 1\nadd r3, r2, r1")
+    config = ProcessorConfig(window_size=8, max_cycles=500)
+    result = build_processor(kind, config, cluster_size=4).run(program)
+    assert result.registers == run_program(program).state.registers
 
 
 class TestClusterValidation:

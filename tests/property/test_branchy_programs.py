@@ -106,17 +106,25 @@ def test_wrong_path_work_never_commits(program):
     assert got == want
 
 
-@given(branchy_programs(), st.sampled_from([1, 2, 4]))
-@settings(max_examples=30, deadline=None)
-def test_extensions_with_speculation(program, num_alus):
+#: the three designs on an 8-station window (the hybrid: two clusters of 4)
+BUILDERS = {
+    "us1": make_ultrascalar1,
+    "us2": make_ultrascalar2,
+    "hybrid": lambda program, config, **kwargs: make_hybrid(program, 4, config, **kwargs),
+}
+
+
+@given(branchy_programs(), st.sampled_from([1, 2, 4]), st.sampled_from(sorted(BUILDERS)))
+@settings(max_examples=60, deadline=None)
+def test_extensions_with_speculation(program, num_alus, design):
     """Shared ALUs + forwarding + self-timed, all at once, under
-    mispredicting prediction — still exact."""
+    mispredicting prediction — still exact, on every design."""
     golden = run_program(program, state=MachineState.zeroed(32))
     config = ProcessorConfig(
         window_size=8, fetch_width=4, num_alus=num_alus,
         store_forwarding=True, self_timed=True,
     )
-    processor = make_ultrascalar1(
+    processor = BUILDERS[design](
         program, config, predictor=AlwaysNotTaken(), memory=IdealMemory()
     )
     result = processor.run()

@@ -1,6 +1,7 @@
-"""Property: the BatchProcessor's register-view walk equals the grid
+"""Property: the Ultrascalar II's register-view walk equals the grid
 network's behavioural router — closing the loop between the Ultrascalar
-II processor model and the Figure 7/8 circuits."""
+II processor model (the ring engine with one cluster spanning the
+window) and the Figure 7/8 circuits."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -50,15 +51,16 @@ def test_batch_views_equal_grid_router(program, cycles):
         if processor.halted:
             break
         processor.step()
-    if not processor.batch:
+    window = processor.window
+    if not window:
         return
 
-    views = processor._register_views()
+    views = processor._register_views(window)
 
-    initial = [(value, True) for value in processor.registers]
+    initial = [(value, True) for value in processor.committed_regs]
     writes = []
     reads = []
-    for station in processor.batch:
+    for station in window:
         reg = station.writes_register
         if reg is None:
             writes.append(None)
@@ -75,7 +77,7 @@ def test_batch_views_equal_grid_router(program, cycles):
                       inst.rs2 if inst.rs2 is not None else 0])
 
     routed = route_arguments(L, initial, writes, reads)
-    for index, station in enumerate(processor.batch):
+    for index, station in enumerate(window):
         inst = station.fetched.instruction
         for port, reg in enumerate((inst.rs1, inst.rs2)):
             if reg is None:

@@ -11,6 +11,9 @@ import json
 
 import pytest
 
+from repro.api import build_processor
+from repro.isa import assemble
+from repro.ultrascalar import ProcessorConfig
 from repro.ultrascalar.ring import RingProcessor
 from repro.verify import (
     DESIGNS,
@@ -122,6 +125,19 @@ class TestInvariantChecker:
         )
         assert not report.ok
         assert any(d.field in ("invariant", "commits") for d in report.divergences)
+
+    def test_no_state_inherited_through_a_reused_id(self, monkeypatch):
+        """A fresh engine never inherits a finished engine's bookkeeping,
+        even when it reuses the finished engine's id (forced here)."""
+        from repro.verify import invariants
+
+        monkeypatch.setattr(invariants, "id", lambda engine: 0, raising=False)
+        program = assemble("addi r1, r0, 1\naddi r2, r1, 1\nhalt")
+        config = ProcessorConfig(window_size=8)
+        checker = InvariantChecker()
+        # the hybrid halts with its partly filled cluster still occupied
+        build_processor("hybrid", config, cluster_size=4).run(program, cycle_hook=checker)
+        build_processor("us1", config).run(program, cycle_hook=checker)
 
 
 def _forwarding_bug(monkeypatch):

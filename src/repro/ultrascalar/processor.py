@@ -134,12 +134,43 @@ class ProcessorResult:
         return "\n".join(lines)
 
 
-def _default_predictor(program: Program) -> BranchPredictor:
-    """Perfect prediction by default: isolates scheduling behaviour."""
-    from repro.isa.interpreter import run_program
+class _ReadThroughMemory(dict):
+    """A replay's memory: its own stores, else the memory system's words."""
 
-    golden = run_program(program)
+    def __init__(self, memory: MemorySystem):
+        super().__init__()
+        self._memory = memory
+
+    def get(self, address, default=None):
+        if address in self:
+            return self[address]
+        return self._memory.peek_word(address)
+
+
+def _default_predictor(
+    program: Program, initial_registers: list[int] | None, memory: MemorySystem
+) -> BranchPredictor:
+    """Perfect prediction by default: isolates scheduling behaviour.
+
+    Replays the program from the run's own initial state — its initial
+    registers and the image already loaded into *memory*, which the
+    replay only reads — so it replays the branch outcomes this run
+    will resolve.
+    """
+    from repro.isa.interpreter import MachineState, run_program
+
+    registers = list(initial_registers or [0] * program.spec.num_registers)
+    golden = run_program(program, state=MachineState(registers, _ReadThroughMemory(memory)))
     return PerfectPredictor.from_trace(golden.trace)
+
+
+def _defaults(program, predictor, memory, initial_registers):
+    """The (predictor, memory) a factory runs with: ideal memory and
+    perfect prediction unless given."""
+    memory = memory if memory is not None else IdealMemory()
+    if predictor is None:
+        predictor = _default_predictor(program, initial_registers, memory)
+    return predictor, memory
 
 
 def make_ultrascalar1(
@@ -154,11 +185,12 @@ def make_ultrascalar1(
     """Build an Ultrascalar I: wrap-around ring, per-station refill."""
     from repro.ultrascalar.ring import RingProcessor
 
+    predictor, memory = _defaults(program, predictor, memory, initial_registers)
     return RingProcessor(
         program=program,
         config=config or ProcessorConfig(),
-        predictor=predictor if predictor is not None else _default_predictor(program),
-        memory=memory if memory is not None else IdealMemory(),
+        predictor=predictor,
+        memory=memory,
         cluster_size=1,
         initial_registers=initial_registers,
         tracer=tracer,
@@ -180,11 +212,12 @@ def make_hybrid(
     Ultrascalar I ring; stations refill a cluster at a time."""
     from repro.ultrascalar.ring import RingProcessor
 
+    predictor, memory = _defaults(program, predictor, memory, initial_registers)
     return RingProcessor(
         program=program,
         config=config or ProcessorConfig(),
-        predictor=predictor if predictor is not None else _default_predictor(program),
-        memory=memory if memory is not None else IdealMemory(),
+        predictor=predictor,
+        memory=memory,
         cluster_size=cluster_size,
         initial_registers=initial_registers,
         tracer=tracer,
@@ -206,11 +239,12 @@ def make_ultrascalar2(
     has finished."""
     from repro.ultrascalar.us2 import BatchProcessor
 
+    predictor, memory = _defaults(program, predictor, memory, initial_registers)
     return BatchProcessor(
         program=program,
         config=config or ProcessorConfig(),
-        predictor=predictor if predictor is not None else _default_predictor(program),
-        memory=memory if memory is not None else IdealMemory(),
+        predictor=predictor,
+        memory=memory,
         initial_registers=initial_registers,
         tracer=tracer,
         cycle_hook=cycle_hook,

@@ -34,13 +34,37 @@ three designs:
   the non-wrap-around grid datapath.
 
 The scheduling policy is otherwise identical, as the paper requires.
+
+The simulator is event-driven: it pays per event, not per ``n * L``
+each cycle.  The CSPP networks compute, every cycle, each station's
+nearest older writer of every register and three window-wide ANDs;
+here the same answers come from incremental state:
+
+* **rename at fetch** — each station gets a fetch tag from a counter
+  that only goes up, and links each source register to its youngest
+  older in-window writer through a ``last_writer`` table.  Older
+  writers never change except on a squash, so the link is computed
+  once.  A link whose tag no longer matches means the producer was
+  deallocated, and the operand comes from the committed register file;
+* **oldest-unfinished queues** — age-ordered queues of the unfinished
+  stores, memory operations and control transfers.  "Every older
+  station has finished its stores" is "the head of the store queue is
+  not older than me";
+* **worklists** — issue walks the waiting stations, execute walks the
+  executing ones, memory completions find their station by request id,
+  and ALU arbitration runs over this cycle's ready candidates.
+
+The CSPP semantics are the reference: :mod:`repro.verify.invariants`
+recomputes the register views and the three ordering conditions with
+the circuits' walk and :func:`~repro.circuits.cspp.cyclic_segmented_and`
+every cycle and checks the engine's links and queues against them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from operator import attrgetter
 
-from repro.circuits.cspp import cyclic_segmented_and
 from repro.frontend.branch_predictor import BranchPredictor
 from repro.frontend.fetch import FetchUnit
 from repro.isa.interpreter import StepOutcome, alu_result, branch_taken
@@ -54,19 +78,12 @@ from repro.ultrascalar.scheduler import prioritized_grants
 from repro.ultrascalar.station import Station, StationState
 from repro.util.bitops import to_unsigned, tree_level_distance
 
-
-@dataclass
-class _RegView:
-    """One station's incoming register view: value and ready per register.
-
-    ``writers[r]`` is the producing station, or ``None`` when the value
-    comes from the committed register file — used by the self-timed mode
-    to charge distance-dependent forwarding latency.
-    """
-
-    values: list[int]
-    ready: list[bool]
-    writers: list["Station | None"] | None = None
+_DONE = StationState.DONE
+_WAITING = StationState.WAITING
+_EXECUTING = StationState.EXECUTING
+#: queue head of an empty oldest-unfinished queue: younger than any tag
+_NO_TAG = float("inf")
+_tag_of = attrgetter("tag")
 
 
 class RingProcessor:
@@ -126,19 +143,34 @@ class RingProcessor:
         self.squashed = 0
         self.mispredictions = 0
         self.forwarded_loads = 0
-        self._cancelled_requests: set[int] = set()
         # self-timed bookkeeping: where and when each committed register
         # value was physically produced (commitment does not teleport
         # data; it still flows from the producing station's position)
         self._reg_source_pos: list[int | None] = [None] * self.L
         self._reg_source_cycle: list[int] = [0] * self.L
 
+        # event-driven state (see module docstring)
+        self._next_tag = 0
+        #: register -> (station, tag) of its youngest in-window writer
+        self._last_writer: list[tuple[Station, int] | None] = [None] * self.L
+        #: age-ordered (station, tag) of unfinished stores, memory
+        #: operations and control transfers; DONE or stale heads are
+        #: popped lazily
+        self._unfinished_stores: deque[tuple[Station, int]] = deque()
+        self._unfinished_memory: deque[tuple[Station, int]] = deque()
+        self._unfinished_control: deque[tuple[Station, int]] = deque()
+        #: WAITING and EXECUTING stations, oldest first
+        self._waiting: list[Station] = []
+        self._executing: list[Station] = []
+        #: outstanding memory request id -> the station in MEMORY state
+        self._requests: dict[int, Station] = {}
+
     # ------------------------------------------------------------------
     # per-cycle phases
     # ------------------------------------------------------------------
 
     def _phase_fetch(self) -> None:
-        """Refill empty stations from the fetch unit.
+        """Refill empty stations from the fetch unit and rename them.
 
         Because clusters free as a unit (see :meth:`_phase_commit`), the
         empty positions always form the contiguous tail of the ring
@@ -161,41 +193,33 @@ class RingProcessor:
         for fetched_inst in fetched:
             station = self.stations[pos]
             station.load(fetched_inst, self.seq, self.cycle)
+            tag = self._next_tag
+            self._next_tag += 1
+            station.tag = tag
+            inst = fetched_inst.instruction
+            station.sources = self._rename(inst)
+            if inst.rd is not None:
+                self._last_writer[inst.rd] = (station, tag)
+            if inst.is_memory:
+                self._unfinished_memory.append((station, tag))
+                if inst.is_store:
+                    self._unfinished_stores.append((station, tag))
+            elif inst.is_control:
+                self._unfinished_control.append((station, tag))
             self.window.append(station)
+            self._waiting.append(station)
             self.seq += 1
             pos = (pos + 1) % self.n
 
-    def _register_views(self, occupied: list[Station]) -> list[_RegView]:
-        """Each occupied station's incoming register view (CSPP semantics).
-
-        Walk from the oldest: the committed register file is the oldest
-        station's insertion; each station then overlays its own write
-        (ready iff DONE).
-        """
-        track_writers = self.config.self_timed or self._tracing
-        values = list(self.committed_regs)
-        ready = [True] * self.L
-        writers: list[Station | None] = [None] * self.L
-        views: list[_RegView] = []
-        for station in occupied:
-            views.append(
-                _RegView(
-                    values=list(values),
-                    ready=list(ready),
-                    writers=list(writers) if track_writers else None,
-                )
-            )
-            reg = station.writes_register
+    def _rename(self, inst) -> tuple:
+        """Link each source register to its youngest older in-window writer."""
+        last_writer = self._last_writer
+        sources = []
+        for reg in (inst.rs1, inst.rs2):
             if reg is not None:
-                if station.done and station.result is not None:
-                    values[reg] = station.result
-                    ready[reg] = True
-                else:
-                    values[reg] = 0
-                    ready[reg] = False
-                if track_writers:
-                    writers[reg] = station
-        return views
+                link = last_writer[reg]
+                sources.append((reg, None, -1) if link is None else (reg, *link))
+        return tuple(sources)
 
     def _forward_latency(self, producer_pos: int, consumer_pos: int) -> int:
         """Cycles for a result to travel producer -> consumer.
@@ -210,161 +234,135 @@ class RingProcessor:
             return 1
         return max(1, tree_level_distance(producer_pos, consumer_pos))
 
-    def _arrived(self, view: _RegView, reg: int, consumer: Station) -> bool:
-        """Self-timed mode: has ready register *reg* reached *consumer*?"""
-        writer = view.writers[reg]
-        if writer is not None:
-            latency = self._forward_latency(writer.index, consumer.index)
-            return self.cycle >= writer.complete_cycle + latency
-        # committed value: still in flight from the station that produced
-        # it (initial register values have no producer and are ready)
-        source_pos = self._reg_source_pos[reg]
-        if source_pos is None:
-            return True
-        latency = self._forward_latency(source_pos, consumer.index)
-        return self.cycle >= self._reg_source_cycle[reg] + latency
+    def _operands(self, station: Station) -> list[int] | None:
+        """The station's operand values, or ``None`` if one is not ready.
 
-    def _ordering_conditions(
-        self, occupied: list[Station]
-    ) -> tuple[list[bool], list[bool], list[bool]]:
-        """The three Figure 5 CSPP conditions for each occupied station.
-
-        Returns (stores_done, mem_done, branches_resolved): per station,
-        whether all *older* stations have finished their stores / all
-        memory operations / resolved their control transfers.
+        A linked producer still in the window supplies its result once
+        DONE (and, self-timed, once the result has crossed the wires);
+        otherwise the committed register file does.
         """
-        count = len(occupied)
-        if count == 0:
-            return [], [], []
-        store_ok = []
-        mem_ok = []
-        branch_ok = []
-        for station in occupied:
-            # a finished station meets all three conditions
-            if station.state is StationState.DONE:
-                store_ok.append(True)
-                mem_ok.append(True)
-                branch_ok.append(True)
+        operands = []
+        for reg, producer, tag in station.sources:
+            if producer is not None and producer.tag == tag:
+                if producer.state is not _DONE or producer.result is None:
+                    return None
+                if self.config.self_timed and self.cycle < producer.complete_cycle + (
+                    self._forward_latency(producer.index, station.index)
+                ):
+                    return None
+                operands.append(producer.result)
             else:
-                inst = station.fetched.instruction
-                store_ok.append(not inst.is_store)
-                mem_ok.append(not inst.is_memory)
-                branch_ok.append(not inst.is_control)
-        # Cyclic segmented AND with the oldest station raising its segment
-        # bit: output[i] = AND of conditions of all older stations.  The
-        # circuit's wrap-around output at the oldest station itself is
-        # ignored, exactly as the oldest station "does not latch incoming
-        # values" in the register datapath: it has no older stations, so
-        # its conditions hold vacuously.
-        segments = [i == 0 for i in range(count)]
-        stores = cyclic_segmented_and(store_ok, segments)
-        mems = cyclic_segmented_and(mem_ok, segments)
-        branches = cyclic_segmented_and(branch_ok, segments)
-        stores[0] = mems[0] = branches[0] = True
-        return stores, mems, branches
+                if self.config.self_timed:
+                    # still in flight from the station that produced it
+                    # (initial register values have no producer)
+                    source_pos = self._reg_source_pos[reg]
+                    if source_pos is not None and self.cycle < self._reg_source_cycle[reg] + (
+                        self._forward_latency(source_pos, station.index)
+                    ):
+                        return None
+                operands.append(self.committed_regs[reg])
+        return operands
 
-    def _alu_grants(self, occupied: list[Station], candidates: list[bool]) -> list[bool]:
+    @staticmethod
+    def _oldest_unfinished(queue: deque) -> float:
+        """Tag of the queue's oldest unfinished station (``inf`` if none)."""
+        while queue:
+            station, tag = queue[0]
+            if station.tag == tag and station.state is not _DONE:
+                return tag
+            queue.popleft()
+        return _NO_TAG
+
+    def oldest_unfinished_tags(self) -> tuple[float, float, float]:
+        """Tags of the oldest unfinished store, memory op and control transfer.
+
+        The Figure 5 conditions follow: every station older than ``s``
+        has finished its stores iff ``s.tag <= stores``, and likewise
+        for memory operations and control transfers.
+        """
+        return (
+            self._oldest_unfinished(self._unfinished_stores),
+            self._oldest_unfinished(self._unfinished_memory),
+            self._oldest_unfinished(self._unfinished_control),
+        )
+
+    def _alu_grants(self, ready: list[tuple[Station, list[int]]]) -> list[bool]:
         """Shared-ALU arbitration (Memo 2): grant the oldest requesters.
 
-        Returns per-occupied-station permission to start executing on an
-        ALU this cycle.  Only called with ``num_alus`` set; without it
-        every candidate has its own ALU, as the paper's layouts replicate.
+        Returns per ready candidate permission to start this cycle.
+        Memory operations use the memory network and SYSTEM ops
+        (NOP/HALT) need no ALU, so both always proceed.  Only called with
+        ``num_alus`` set; without it every candidate has its own ALU, as
+        the paper's layouts replicate.
         """
         busy = sum(
             1
-            for s in occupied
-            if s.state is StationState.EXECUTING
-            and s.fetched.instruction.op.op_class is not OpClass.SYSTEM
+            for s in self._executing
+            if s.fetched.instruction.op.op_class is not OpClass.SYSTEM
         )
         free = max(0, self.config.num_alus - busy)
         requests = [
-            candidates[i]
-            and occupied[i].fetched.instruction.op.op_class is not OpClass.SYSTEM
-            for i in range(len(occupied))
+            not inst.is_memory and inst.op.op_class is not OpClass.SYSTEM
+            for inst in (station.fetched.instruction for station, _ in ready)
         ]
         if free == 0:
-            grants = [False] * len(occupied)
+            grants = [False] * len(ready)
         else:
             grants = prioritized_grants(requests, oldest=0, num_alus=free)
-        # SYSTEM ops (NOP/HALT) need no ALU and always proceed
-        for i in range(len(occupied)):
-            if candidates[i] and not requests[i]:
-                grants[i] = True
-        return grants
+        return [granted or not requested for granted, requested in zip(grants, requests)]
 
-    def _find_forwarding_store(
-        self, occupied: list[Station], idx: int, address: int
-    ) -> Station | None:
-        """Nearest preceding store to *address* (memory renaming).
+    def _find_forwarding_store(self, station: Station) -> Station | None:
+        """Nearest preceding store to the load's address (memory renaming).
 
         Only called when all preceding stores are DONE, so every earlier
         store's address is known — the disambiguation the paper's CSPP
         ordering circuits provide.
         """
-        for earlier in reversed(occupied[:idx]):
-            inst = earlier.fetched.instruction
-            if inst.is_store and earlier.address == address:
+        position = (station.index - self.oldest) % self.n
+        for earlier in reversed(self.window[:position]):
+            if earlier.fetched.instruction.is_store and earlier.address == station.address:
                 return earlier
         return None
 
-    def _phase_issue(self, occupied: list[Station], views: list[_RegView]) -> None:
-        stores_done, mem_done, branches_resolved = self._ordering_conditions(occupied)
-
-        # Writers may be tracked for telemetry alone; only the self-timed
-        # mode charges distance-dependent latency.
-        self_timed = self.config.self_timed
-        # pass 1: who could issue this cycle?  (dict order is age order)
-        ready_operands: dict[int, tuple[int, ...]] = {}
-        for idx, station in enumerate(occupied):
-            if station.state is not StationState.WAITING:
+    def _phase_issue(self) -> None:
+        if not self._waiting:
+            return
+        stores_head, memory_head, control_head = self.oldest_unfinished_tags()
+        # pass 1: who could issue this cycle?  (age order)
+        ready: list[tuple[Station, list[int]]] = []
+        for station in self._waiting:
+            operands = self._operands(station)
+            if operands is None:
                 continue
             inst = station.fetched.instruction
-            view = views[idx]
-            operands = []
-            all_ready = True
-            for reg in (inst.rs1, inst.rs2):
-                if reg is None:
-                    continue
-                if not view.ready[reg] or (self_timed and not self._arrived(view, reg, station)):
-                    all_ready = False
-                    break
-                operands.append(view.values[reg])
-            if not all_ready:
+            if inst.is_load and stores_head < station.tag:
                 continue
-            if inst.is_load and not stores_done[idx]:
+            if inst.is_store and (memory_head < station.tag or control_head < station.tag):
                 continue
-            if inst.is_store and not (mem_done[idx] and branches_resolved[idx]):
-                continue
-            ready_operands[idx] = tuple(operands)
+            ready.append((station, operands))
+        if not ready:
+            return
 
-        # pass 2: shared-ALU arbitration (memory ops use the memory
-        # network, not the ALU pool)
-        alu_ok = None
-        if self.config.num_alus is not None:
-            requests = [False] * len(occupied)
-            for idx in ready_operands:
-                requests[idx] = not occupied[idx].fetched.instruction.is_memory
-            alu_ok = self._alu_grants(occupied, requests)
+        # pass 2: shared-ALU arbitration over this cycle's candidates
+        alu_ok = self._alu_grants(ready) if self.config.num_alus is not None else None
 
         issued = 0
-        for idx, operands in ready_operands.items():
-            station = occupied[idx]
-            inst = station.fetched.instruction
-            if alu_ok is not None and not inst.is_memory and not alu_ok[idx]:
+        started: list[Station] = []
+        for i, (station, operands) in enumerate(ready):
+            if alu_ok is not None and not alu_ok[i]:
                 if self._tracing:
                     self.tracer.count("issue.alu_denied")
                 continue  # no free ALU this cycle; retry next cycle
-            station.operands = operands
+            inst = station.fetched.instruction
+            station.operands = tuple(operands)
             station.issue_cycle = self.cycle
             issued += 1
             if self._tracing:
-                self._trace_issue(station, views[idx], inst)
+                self._trace_issue(station, inst)
             if inst.is_load:
                 station.address = to_unsigned(operands[0] + inst.imm)
                 forwarder = (
-                    self._find_forwarding_store(occupied, idx, station.address)
-                    if self.config.store_forwarding
-                    else None
+                    self._find_forwarding_store(station) if self.config.store_forwarding else None
                 )
                 if forwarder is not None:
                     # memory renaming: take the store's data directly
@@ -372,39 +370,46 @@ class RingProcessor:
                     if self._tracing:
                         self.tracer.count("mem.store_forward_hits")
                     station.result = forwarder.operands[1]
-                    station.state = StationState.EXECUTING
+                    station.state = _EXECUTING
                     station.remaining = 1
+                    started.append(station)
                 else:
                     station.memory_request_id = self.memory.submit_load(
                         station.address, leaf=station.index
                     )
                     station.state = StationState.MEMORY
+                    self._requests[station.memory_request_id] = station
             elif inst.is_store:
                 station.address = to_unsigned(operands[0] + inst.imm)
                 station.memory_request_id = self.memory.submit_store(
                     station.address, operands[1], leaf=station.index
                 )
                 station.state = StationState.MEMORY
+                self._requests[station.memory_request_id] = station
             else:
-                station.state = StationState.EXECUTING
+                station.state = _EXECUTING
                 station.remaining = self.config.latencies.latency_of(inst.op)
-        if self._tracing and issued:
-            self.tracer.count("issue.cycles_active")
-            self.tracer.count("issue.instructions", issued)
+                started.append(station)
+        if issued:
+            self._waiting = [s for s in self._waiting if s.state is _WAITING]
+            if started:
+                # both runs are age-ordered; the sort merges them
+                self._executing.extend(started)
+                self._executing.sort(key=_tag_of)
+            if self._tracing:
+                self.tracer.count("issue.cycles_active")
+                self.tracer.count("issue.instructions", issued)
 
-    def _trace_issue(self, station: Station, view: _RegView, inst) -> None:
+    def _trace_issue(self, station: Station, inst) -> None:
         """Record forwarding provenance and memory traffic for one issue."""
-        for reg in (inst.rs1, inst.rs2):
-            if reg is None:
-                continue
-            writer = view.writers[reg] if view.writers is not None else None
-            if writer is not None:
-                hops = tree_level_distance(writer.index, station.index)
+        for _reg, producer, tag in station.sources:
+            if producer is not None and producer.tag == tag:
+                hops = tree_level_distance(producer.index, station.index)
                 self.tracer.count("forward.from_station")
                 self.tracer.count(f"forward.hops.{hops}")
                 self.tracer.count(
                     "forward.latency_cycles",
-                    self._forward_latency(writer.index, station.index),
+                    self._forward_latency(producer.index, station.index),
                 )
             else:
                 self.tracer.count("forward.from_regfile")
@@ -413,24 +418,26 @@ class RingProcessor:
         elif inst.is_store:
             self.tracer.count("mem.stores")
 
-    def _phase_execute(self, occupied: list[Station]) -> None:
+    def _phase_execute(self) -> None:
         """Advance functional units; resolve branches; handle squashes."""
-        for idx, station in enumerate(occupied):
-            if station.state is not StationState.EXECUTING:
-                continue
+        still: list[Station] = []
+        for station in self._executing:
             station.remaining -= 1
             if station.remaining > 0:
+                still.append(station)
                 continue
             inst = station.fetched.instruction
-            station.state = StationState.DONE
+            station.state = _DONE
             station.complete_cycle = self.cycle
             op = inst.op
             if inst.is_branch:
                 station.taken = branch_taken(op, station.operands[0], station.operands[1])
                 actual_next = inst.target if station.taken else station.fetched.static_index + 1
                 if station.taken != station.fetched.predicted_taken:
-                    self._mispredict(idx, actual_next)
-                    return  # younger stations were squashed; stop this phase
+                    # younger stations are squashed; stop this phase
+                    self._executing = still
+                    self._mispredict(station, actual_next)
+                    return
             elif op is Opcode.J:
                 station.taken = True
             elif op in (Opcode.HALT, Opcode.NOP):
@@ -444,38 +451,50 @@ class RingProcessor:
                     station.operands[1] if len(station.operands) > 1 else 0,
                     inst.imm,
                 )
+        self._executing = still
 
-    def _mispredict(self, idx: int, actual_next: int) -> None:
-        """Squash everything younger than ``window[idx]``; redirect fetch."""
+    def _mispredict(self, branch: Station, actual_next: int) -> None:
+        """Squash everything younger than *branch*; redirect fetch.
+
+        The worklists and queues are age-ordered, so each loses a tail;
+        the rename table is rebuilt from the surviving stations.
+        """
         self.mispredictions += 1
+        tag = branch.tag
+        for worklist in (self._waiting, self._executing):
+            while worklist and worklist[-1].tag > tag:
+                worklist.pop()
+        for queue in (self._unfinished_stores, self._unfinished_memory, self._unfinished_control):
+            while queue and queue[-1][1] > tag:
+                queue.pop()
         window = self.window
+        idx = (branch.index - self.oldest) % self.n
         for younger in window[idx + 1 :]:
-            if younger.memory_request_id is not None and not younger.done:
-                self._cancelled_requests.add(younger.memory_request_id)
+            if younger.memory_request_id is not None:
+                self._requests.pop(younger.memory_request_id, None)
             younger.clear()
         self.squashed += len(window) - idx - 1
         del window[idx + 1 :]
+        last_writer: list[tuple[Station, int] | None] = [None] * self.L
+        for station in window:
+            reg = station.fetched.instruction.rd
+            if reg is not None:
+                last_writer[reg] = (station, station.tag)
+        self._last_writer = last_writer
         # rewind the fetch sequence numbering to just after the branch
-        self.seq = window[idx].seq + 1
+        self.seq = branch.seq + 1
         self.fetch.redirect(actual_next)
 
-    def _phase_memory(self, occupied: list[Station]) -> None:
+    def _phase_memory(self) -> None:
         completions = self.memory.tick()
         if not completions:
             return
-        by_request = {
-            station.memory_request_id: station
-            for station in occupied
-            if station.state is StationState.MEMORY
-        }
         for request_id, value in completions.items():
-            if request_id in self._cancelled_requests:
-                self._cancelled_requests.discard(request_id)
-                continue
-            station = by_request.get(request_id)
+            # squashed requests were dropped from the map
+            station = self._requests.pop(request_id, None)
             if station is None:
                 continue
-            station.state = StationState.DONE
+            station.state = _DONE
             station.complete_cycle = self.cycle
             if station.fetched.instruction.is_load:
                 station.result = value
@@ -555,6 +574,8 @@ class RingProcessor:
         # cluster-aligned: the initial fill starts at position 0 and
         # clusters free as aligned units.  Commitment is in order, so a
         # cluster has fully committed once its youngest station has.
+        # Clearing a station retires its tag, which turns every rename
+        # link to it into a committed-register-file read.
         size = self.cluster_size
         while self._committed_count >= size:
             for station in window[:size]:
@@ -573,14 +594,12 @@ class RingProcessor:
     def step(self) -> None:
         """Advance the processor one clock cycle."""
         self._phase_fetch()
-        window = self.window
         if self._tracing:
             self.tracer.count("cycles")
-            self.tracer.count("commit.window_occupancy", len(window))
-        views = self._register_views(window)
-        self._phase_issue(window, views)
-        self._phase_execute(window)
-        self._phase_memory(window)  # a squash truncated it in place
+            self.tracer.count("commit.window_occupancy", len(self.window))
+        self._phase_issue()
+        self._phase_execute()
+        self._phase_memory()
         self._phase_commit()
         if self._cycle_hook is not None:
             self._cycle_hook(self)

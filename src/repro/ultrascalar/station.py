@@ -65,6 +65,13 @@ class Station:
     #: architecturally committed, but the station is not yet freed
     #: (clusters of stations deallocate as a unit)
     committed: bool = False
+    #: fetch tag: unique to this occupancy and increasing with fetch
+    #: order, even across squashes (``seq`` rewinds); -1 when EMPTY
+    tag: int = -1
+    #: rename links, one ``(register, producer, producer tag)`` per source
+    #: operand; a ``None`` producer, or one whose tag has moved on, means
+    #: the value comes from the committed register file
+    sources: tuple = ()
 
     @property
     def occupied(self) -> bool:
@@ -91,6 +98,8 @@ class Station:
         self.taken = None
         self.memory_request_id = None
         self.committed = False
+        self.tag = -1
+        self.sources = ()
 
     def load(self, fetched: FetchedInstruction, seq: int, cycle: int) -> None:
         """Fill the station with a newly fetched instruction."""

@@ -28,6 +28,12 @@ from dataclasses import dataclass, field
 
 from repro.api import build_processor
 from repro.baseline.dataflow import dataflow_schedule
+from repro.frontend.branch_predictor import (
+    AlwaysNotTaken,
+    BimodalPredictor,
+    BranchPredictor,
+    PerfectPredictor,
+)
 from repro.isa.program import Program
 from repro.telemetry.tracer import CountingTracer, diff_counters
 from repro.ultrascalar import IdealMemory, ProcessorConfig
@@ -42,6 +48,9 @@ DESIGNS = ("us1", "us2", "hybrid", "dataflow", "vector")
 #: designs that model the full engine (registers/memory/commit stream);
 #: "dataflow" is a schedule-only reference and "vector" a fast path
 ENGINE_DESIGNS = ("us1", "us2", "hybrid")
+
+#: branch predictors :func:`run_differential` can run the engines under
+PREDICTORS = ("perfect", "not_taken", "bimodal")
 
 
 @dataclass(frozen=True)
@@ -108,6 +117,19 @@ def _memory_mismatch(got: dict[int, int], want: dict[int, int]) -> str:
     )
 
 
+def _make_predictor(kind: str, program: Program, oracle: OracleResult) -> BranchPredictor:
+    """A fresh predictor of *kind*; "perfect" replays the oracle's branches."""
+    if kind == "not_taken":
+        return AlwaysNotTaken()
+    if kind == "bimodal":
+        return BimodalPredictor()
+    outcomes: dict[int, list[bool]] = {}
+    for static_index, _result, _address, taken, _next_pc in oracle.commits:
+        if program[static_index].is_branch:
+            outcomes.setdefault(static_index, []).append(bool(taken))
+    return PerfectPredictor(outcomes)
+
+
 def _hybrid_cluster(window: int) -> int:
     """Largest power-of-two cluster <= max(1, window // 4) dividing window."""
     cluster = 1
@@ -126,17 +148,21 @@ def run_differential(
     check_invariants: bool = True,
     collect_stats: bool = False,
     max_steps: int = 200_000,
+    predictor: str = "perfect",
 ) -> DiffReport:
     """Run *program* through *designs* and cross-check against the oracle.
 
     ``window=None`` sizes the window to the dynamic instruction count —
     the wrap-around-free configuration under which the ILP-equivalence
     invariant (identical commit order => identical cycle count across
-    designs) is additionally enforced.
+    designs) is additionally enforced.  Each engine runs under a fresh
+    *predictor* (one of :data:`PREDICTORS`).
     """
     unknown = sorted(set(designs) - set(DESIGNS))
     if unknown:
         raise ValueError(f"unknown design(s) {unknown}; expected {DESIGNS}")
+    if predictor not in PREDICTORS:
+        raise ValueError(f"unknown predictor {predictor!r}; expected one of {PREDICTORS}")
     oracle = run_oracle(program, initial_registers, memory_image, max_steps=max_steps)
     dynamic = max(1, oracle.dynamic_length)
     wrap_free = window is None or window >= dynamic
@@ -162,6 +188,7 @@ def run_differential(
             result = processor.run(
                 program,
                 memory=memory,
+                predictor=_make_predictor(predictor, program, oracle),
                 initial_registers=list(regs),
                 tracer=tracer,
                 cycle_hook=checker,

@@ -25,6 +25,7 @@ shards fan out across worker processes via :mod:`repro.runner.pool`.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from dataclasses import dataclass, field
@@ -32,10 +33,12 @@ from pathlib import Path
 
 from repro.isa.assembler import assemble
 from repro.isa.instruction import Instruction
+from repro.isa.interpreter import InterpreterError
 from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 from repro.util.rng import derive_seed
-from repro.verify.diff import DESIGNS, DiffReport, run_differential
+from repro.verify.diff import DESIGNS, PREDICTORS, DiffReport, run_differential
+from repro.verify.oracle import run_oracle
 
 #: schema tag for failing-case reproducer files
 FAILURE_SCHEMA = "repro-failure/1"
@@ -108,6 +111,8 @@ class FuzzCase:
     program: Program
     initial_registers: list[int]
     memory_image: dict[int, int]
+    #: branch predictor the engines run under (one of ``PREDICTORS``)
+    predictor: str = "perfect"
 
     @property
     def size(self) -> int:
@@ -120,7 +125,9 @@ def generate_case(seed: int, size: int) -> FuzzCase:
 
     *size* is the number of body instructions; a HALT is appended, and
     control transfers only ever jump forward (possibly to the HALT), so
-    the program always terminates.
+    the program always terminates.  The case also draws the branch
+    predictor the engines run under, so mispredictions and squashes are
+    fuzzed too.
     """
     rng = random.Random(derive_seed("verify.fuzz", seed, size))
     pool = 12  # writable registers r0..r11: small, to force hazards
@@ -165,7 +172,15 @@ def generate_case(seed: int, size: int) -> FuzzCase:
     image = {}
     for address in range(min(BASE_ADDRESSES), max(BASE_ADDRESSES) + max(ALIAS_OFFSETS) + 4, 4):
         image[address] = rng.getrandbits(32)
-    return FuzzCase(seed=seed, program=program, initial_registers=registers, memory_image=image)
+    # drawn last, so the program and its initial state do not depend on it
+    predictor = rng.choice(PREDICTORS)
+    return FuzzCase(
+        seed=seed,
+        program=program,
+        initial_registers=registers,
+        memory_image=image,
+        predictor=predictor,
+    )
 
 
 def corpus_cases(seed: int) -> list[FuzzCase]:
@@ -247,6 +262,7 @@ def run_case(
                 window=window,
                 designs=designs,
                 check_invariants=check_invariants,
+                predictor=case.predictor,
             )
         except Exception as exc:  # engine crash is a finding, not an abort
             return CaseFailure(case=case, window=window, report=None, error=repr(exc))
@@ -285,6 +301,17 @@ def _remove_chunk(program: Program, start: int, stop: int) -> Program | None:
         return None
 
 
+def _dynamic_length(case: FuzzCase, max_steps: int = 200_000) -> int | None:
+    """The case's dynamic instruction count; ``None`` past *max_steps*."""
+    try:
+        oracle = run_oracle(
+            case.program, case.initial_registers, case.memory_image, max_steps=max_steps
+        )
+    except InterpreterError:
+        return None
+    return oracle.dynamic_length
+
+
 def shrink_case(
     failure: CaseFailure,
     *,
@@ -298,11 +325,17 @@ def shrink_case(
     Greedily removes contiguous instruction chunks (halving chunk sizes
     down to single instructions, restarting after any success) while the
     failure — any failure, not necessarily the original divergence —
-    persists under the same test parameters.
+    persists under the same test parameters.  A removal that makes the
+    program run longer than the original (a loop that lost its exit
+    condition, say) is no reduction: the candidate is rejected before
+    any engine runs, instead of failing only because the oracle gave up.
     """
     case = failure.case
+    steps = _dynamic_length(case)
 
     def still_fails(candidate: FuzzCase) -> bool:
+        if _dynamic_length(candidate, max_steps=steps) is None:
+            return False
         return (
             run_case(
                 candidate,
@@ -322,12 +355,7 @@ def shrink_case(
             stop = min(start + chunk, len(case.program) - 1)
             program = _remove_chunk(case.program, start, stop)
             if program is not None:
-                candidate = FuzzCase(
-                    seed=case.seed,
-                    program=program,
-                    initial_registers=case.initial_registers,
-                    memory_image=case.memory_image,
-                )
+                candidate = dataclasses.replace(case, program=program)
                 attempts += 1
                 if still_fails(candidate):
                     case = candidate
@@ -354,6 +382,7 @@ def reproducer_dict(failure: CaseFailure, shrunk: FuzzCase | None = None) -> dic
         "program": case.program.disassemble(),
         "initial_registers": list(case.initial_registers),
         "memory_image": {str(k): v for k, v in sorted(case.memory_image.items())},
+        "predictor": case.predictor,
     }
     if shrunk is not None and len(shrunk.program) < len(case.program):
         payload["shrunk_program"] = shrunk.program.disassemble()
@@ -378,7 +407,8 @@ def write_reproducer(
 def load_reproducer(path: str | Path) -> FuzzCase:
     """Rebuild a :class:`FuzzCase` from a reproducer file.
 
-    Prefers the shrunk program when the file records one.
+    Prefers the shrunk program when the file records one.  A file that
+    records no predictor predates the predictor draw and ran "perfect".
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if payload.get("schema") != FAILURE_SCHEMA:
@@ -389,6 +419,7 @@ def load_reproducer(path: str | Path) -> FuzzCase:
         program=assemble(source),
         initial_registers=[int(v) for v in payload["initial_registers"]],
         memory_image={int(k): int(v) for k, v in payload["memory_image"].items()},
+        predictor=payload.get("predictor", "perfect"),
     )
 
 

@@ -16,28 +16,111 @@ Checked properties (violations raise :class:`InvariantViolation`):
   ready bit asserted into the prefix network), it stays DONE until the
   station is deallocated or squashed; a ready bit never de-asserts while
   the same instruction occupies the station.
-* **Ordering-condition consistency** — the engine's CSPP-derived
-  Figure 5 conditions (stores done / memory done / branches resolved for
-  all older stations) equal a naive O(n²) recomputation; the segmented
-  prefix circuit and the specification walk must agree every cycle.
+* **Producer links** — every waiting station's rename links name its
+  nearest older in-window writer of each source register (or the
+  committed register file when there is none), as a one-pass walk of the
+  window recomputes them.  This is the register CSPP's answer, checked in
+  O(n) per cycle.
+* **Ordering-condition consistency** — the Figure 5 conditions the
+  engine derives from its oldest-unfinished queues (stores done / memory
+  done / branches resolved for all older stations) equal both the CSPP
+  reference (:func:`reference_ordering`, three
+  :func:`~repro.circuits.cspp.cyclic_segmented_and` scans) and a naive
+  walk; the segmented prefix circuit, the queues and the specification
+  must agree every cycle.
 * **Single-writer-per-column routing** (US-II grid, on engines whose one
-  cluster spans the window) — the window's register views equal
+  cluster spans the window) — the window's reference register views
+  (:func:`reference_views`) equal
   :func:`repro.circuits.grid.route_arguments`, the behavioural reference
   for the grid network: each station's arguments come from the
   *nearest* preceding writer column (of which each station contributes
   at most one), else the committed register file.
+
+:func:`reference_views` and :func:`reference_ordering` are the CSPP
+semantics the event-driven engine replaces: each station's incoming
+register view and the three segmented ANDs, recomputed from scratch.
 """
 
 from __future__ import annotations
 
 import weakref
+from dataclasses import dataclass
 
+from repro.circuits import cspp
 from repro.circuits.grid import RegisterBinding, route_arguments
 from repro.ultrascalar.ring import RingProcessor
+from repro.ultrascalar.station import Station, StationState
 
 
 class InvariantViolation(AssertionError):
     """An engine-internal property failed during execution."""
+
+
+@dataclass
+class RegisterView:
+    """One station's incoming register view: value and ready per register.
+
+    ``writers[r]`` is the producing station, or ``None`` when the value
+    comes from the committed register file.
+    """
+
+    values: list[int]
+    ready: list[bool]
+    writers: list[Station | None]
+
+
+def reference_views(engine: RingProcessor) -> list[RegisterView]:
+    """Each window station's incoming register view (CSPP semantics).
+
+    Walk from the oldest: the committed register file is the oldest
+    station's insertion; each station then overlays its own write
+    (ready iff DONE).  O(n * L): a reference, not the engine's path.
+    """
+    values = list(engine.committed_regs)
+    ready = [True] * engine.L
+    writers: list[Station | None] = [None] * engine.L
+    views = []
+    for station in engine.window:
+        views.append(RegisterView(list(values), list(ready), list(writers)))
+        reg = station.writes_register
+        if reg is not None:
+            published = station.done and station.result is not None
+            values[reg] = station.result if published else 0
+            ready[reg] = published
+            writers[reg] = station
+    return views
+
+
+def reference_ordering(engine: RingProcessor) -> tuple[list[bool], list[bool], list[bool]]:
+    """The three Figure 5 CSPP conditions for each window station.
+
+    Returns (stores_done, mem_done, branches_resolved): per station,
+    whether all *older* stations have finished their stores / all
+    memory operations / resolved their control transfers.
+    """
+    window = engine.window
+    if not window:
+        return [], [], []
+    store_ok, mem_ok, branch_ok = [], [], []
+    for station in window:
+        # a finished station meets all three conditions
+        inst = station.fetched.instruction
+        done = station.state is StationState.DONE
+        store_ok.append(done or not inst.is_store)
+        mem_ok.append(done or not inst.is_memory)
+        branch_ok.append(done or not inst.is_control)
+    # Cyclic segmented AND with the oldest station raising its segment
+    # bit: output[i] = AND of conditions of all older stations.  The
+    # circuit's wrap-around output at the oldest station itself is
+    # ignored, exactly as the oldest station "does not latch incoming
+    # values" in the register datapath: it has no older stations, so
+    # its conditions hold vacuously.
+    segments = [i == 0 for i in range(len(window))]
+    stores = cspp.cyclic_segmented_and(store_ok, segments)
+    mems = cspp.cyclic_segmented_and(mem_ok, segments)
+    branches = cspp.cyclic_segmented_and(branch_ok, segments)
+    stores[0] = mems[0] = branches[0] = True
+    return stores, mems, branches
 
 
 class InvariantChecker:
@@ -64,6 +147,7 @@ class InvariantChecker:
         stations = engine.window
         self._check_commit_fifo(engine)
         self._check_done_monotonic(engine, stations)
+        self._check_producer_links(engine, stations)
         self._check_ring_ordering(engine, stations)
         if engine.cluster_size == engine.n:
             self._check_grid_routing(engine, stations)
@@ -110,15 +194,35 @@ class InvariantChecker:
                 )
         self._done_seen[engine] = current
 
-    def _check_ring_ordering(self, engine: RingProcessor, occupied) -> None:
-        """Engine's CSPP ordering conditions equal the naive walk."""
+    def _check_producer_links(self, engine: RingProcessor, window) -> None:
+        """Each waiting station links to its nearest older writer."""
         self.checks += 1
-        if not occupied:
+        nearest: list[Station | None] = [None] * engine.L
+        for station in window:
+            if station.state is StationState.WAITING:
+                for reg, producer, tag in station.sources:
+                    linked = producer if producer is not None and producer.tag == tag else None
+                    if linked is not nearest[reg]:
+                        want = nearest[reg]
+                        self._fail(
+                            engine,
+                            f"station {station.index} (seq {station.seq}) links r{reg} to "
+                            f"{_describe(linked)}, nearest older writer is {_describe(want)}",
+                        )
+            reg = station.writes_register
+            if reg is not None:
+                nearest[reg] = station
+
+    def _check_ring_ordering(self, engine: RingProcessor, window) -> None:
+        """Queue-derived ordering conditions equal the CSPP and the naive walk."""
+        self.checks += 1
+        if not window:
             return
-        got = engine._ordering_conditions(occupied)
+        heads = engine.oldest_unfinished_tags()
+        queued = tuple([station.tag <= head for station in window] for head in heads)
         stores, mems, branches = [], [], []
         store_ok = mem_ok = branch_ok = True
-        for station in occupied:
+        for station in window:
             stores.append(store_ok)
             mems.append(mem_ok)
             branches.append(branch_ok)
@@ -126,14 +230,17 @@ class InvariantChecker:
             store_ok = store_ok and (not inst.is_store or station.done)
             mem_ok = mem_ok and (not inst.is_memory or station.done)
             branch_ok = branch_ok and (not inst.is_control or station.done)
-        want = (stores, mems, branches)
-        if tuple(got) != want:
-            for name, g, w in zip(("stores", "mem", "branches"), got, want):
+        walk = (stores, mems, branches)
+        references = (("oldest-unfinished queue", queued), ("CSPP", reference_ordering(engine)))
+        for source, got in references:
+            if got == walk:
+                continue
+            for name, g, w in zip(("stores", "mem", "branches"), got, walk):
                 if g != w:
                     self._fail(
                         engine,
-                        f"CSPP {name}-ordering condition diverged from the "
-                        f"specification walk: circuit {g}, walk {w}",
+                        f"{source} {name}-ordering condition diverged from the "
+                        f"specification walk: {source} {g}, walk {w}",
                     )
 
     def _check_grid_routing(self, engine: RingProcessor, window) -> None:
@@ -163,7 +270,7 @@ class InvariantChecker:
             writes,
             reads,
         )
-        views = engine._register_views(window)
+        views = reference_views(engine)
         for idx, requested in enumerate(reads):
             for port, reg in enumerate(requested):
                 want = routed.arguments[idx][port]
@@ -174,6 +281,12 @@ class InvariantChecker:
                         f"grid routing diverged at station {idx} r{reg}: "
                         f"view {got}, route_arguments {want}",
                     )
+
+
+def _describe(station: Station | None) -> str:
+    if station is None:
+        return "the committed register file"
+    return f"station {station.index} (seq {station.seq})"
 
 
 def checked_run(engine, checker: InvariantChecker | None = None):

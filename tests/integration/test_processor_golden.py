@@ -210,3 +210,36 @@ class TestThroughputOrdering:
         result = build(workload, "us1", window=1).run()
         # one station: fetch, execute, commit one instruction at a time
         assert result.ipc <= 1.0
+
+
+class TestDefaultPredictor:
+    """The factories' default "perfect" predictor replays the run's own
+    initial state, so it never mispredicts a forward branch."""
+
+    @pytest.mark.parametrize("kind", ["us1", "us2", "hybrid"])
+    def test_replays_initial_registers_and_memory(self, kind):
+        # both branches fall through from the real initial state but
+        # would be taken from zeroed registers and empty memory
+        program = assemble(
+            "beq r1, r0, @4\n"
+            "lw r2, 0(r28)\n"
+            "beq r2, r0, @4\n"
+            "addi r3, r2, 1\n"
+            "halt"
+        )
+        registers = [0] * program.spec.num_registers
+        registers[1] = 5
+        registers[28] = 64
+        memory = IdealMemory()
+        memory.load_image({64: 9})
+        factory = {"us1": make_ultrascalar1, "us2": make_ultrascalar2}.get(
+            kind, lambda *a, **k: make_hybrid(a[0], 2, *a[1:], **k)
+        )
+        result = factory(
+            program,
+            ProcessorConfig(window_size=8),
+            memory=memory,
+            initial_registers=registers,
+        ).run()
+        assert result.mispredictions == 0
+        assert result.registers[3] == 10

@@ -1,7 +1,8 @@
-"""Property: the Ultrascalar II's register-view walk equals the grid
+"""Property: the Ultrascalar II's reference register views equal the grid
 network's behavioural router — closing the loop between the Ultrascalar
 II processor model (the ring engine with one cluster spanning the
-window) and the Figure 7/8 circuits."""
+window, whose rename links the invariant checker holds to these views)
+and the Figure 7/8 circuits."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +12,7 @@ from repro.frontend.fetch import FetchUnit
 from repro.isa import Instruction, Opcode, Program
 from repro.ultrascalar import IdealMemory, ProcessorConfig
 from repro.ultrascalar.us2 import BatchProcessor
+from repro.verify.invariants import reference_views
 
 L = 6
 REGS = st.integers(0, L - 1)
@@ -37,7 +39,7 @@ def batch_programs(draw):
 @given(batch_programs(), st.integers(0, 5))
 @settings(max_examples=40, deadline=None)
 def test_batch_views_equal_grid_router(program, cycles):
-    """At an arbitrary mid-execution cycle, the processor's view walk and
+    """At an arbitrary mid-execution cycle, the reference view walk and
     the circuits' route_arguments agree on every argument."""
     config = ProcessorConfig(window_size=8, fetch_width=8)
     processor = BatchProcessor(
@@ -55,7 +57,7 @@ def test_batch_views_equal_grid_router(program, cycles):
     if not window:
         return
 
-    views = processor._register_views(window)
+    views = reference_views(processor)
 
     initial = [(value, True) for value in processor.committed_regs]
     writes = []

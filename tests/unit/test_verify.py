@@ -1,7 +1,7 @@
 """Unit tests for the differential-verification subsystem (repro.verify).
 
 The centerpiece is the mutation test: inject a forwarding bug into the
-US-I register-view walk and show that the fuzzer (a) detects the
+ring engine's rename step and show that the fuzzer (a) detects the
 divergence against the architectural oracle, (b) shrinks the failing
 program to a minimal reproducer (at most 8 instructions), and (c) the
 recorded reproducer replays the failure.
@@ -15,9 +15,11 @@ from repro.api import build_processor
 from repro.isa import assemble
 from repro.ultrascalar import ProcessorConfig
 from repro.ultrascalar.ring import RingProcessor
+from repro.ultrascalar.station import StationState
 from repro.verify import (
     DESIGNS,
     InvariantChecker,
+    InvariantViolation,
     build_verify_artifact,
     corpus_cases,
     generate_case,
@@ -31,7 +33,7 @@ from repro.verify import (
     write_reproducer,
 )
 from repro.verify.cli import main as verify_main
-from repro.verify.fuzz import parse_shard_report
+from repro.verify.fuzz import CaseFailure, parse_shard_report
 from repro.workloads import memory_stream, paper_sequence, random_ilp
 
 #: fuzz parameters kept small so the mutation tests stay fast
@@ -139,25 +141,80 @@ class TestInvariantChecker:
         build_processor("hybrid", config, cluster_size=4).run(program, cycle_hook=checker)
         build_processor("us1", config).run(program, cycle_hook=checker)
 
+    #: a DIV holds up a dependent store, branch and ALU op, so all three
+    #: oldest-unfinished queues and a rename link are live mid-run
+    STALLED = (
+        "li r1, 7\nli r2, 3\ndiv r3, r1, r2\nsw r3, 0(r28)\n"
+        "beq r3, r3, @6\naddi r5, r3, 1\nhalt"
+    )
+
+    def _stalled_engine(self, cycles=2):
+        from repro.frontend.branch_predictor import AlwaysNotTaken
+        from repro.ultrascalar import IdealMemory
+
+        engine = RingProcessor(
+            assemble(self.STALLED),
+            ProcessorConfig(window_size=8, fetch_width=8),
+            predictor=AlwaysNotTaken(),
+            memory=IdealMemory(),
+        )
+        for _ in range(cycles):
+            engine.step()
+        return engine
+
+    def test_clean_stalled_engine_passes(self):
+        engine = self._stalled_engine()
+        InvariantChecker()(engine)
+        waiting = [s for s in engine.window if s.state is StationState.WAITING]
+        assert len(waiting) >= 3  # the store, the branch and the addi
+
+    def test_wrong_producer_link_detected(self):
+        engine = self._stalled_engine()
+        by_pc = {station.fetched.static_index: station for station in engine.window}
+        consumer = by_pc[5]  # addi r5, r3, 1: linked to the div
+        [(reg, producer, tag)] = consumer.sources
+        assert producer is by_pc[2] and producer.tag == tag
+        consumer.sources = ((reg, None, -1),)  # read the stale committed r3
+        with pytest.raises(InvariantViolation, match="links r3"):
+            InvariantChecker()(engine)
+
+    @pytest.mark.parametrize(
+        "queue", ["_unfinished_stores", "_unfinished_memory", "_unfinished_control"]
+    )
+    def test_wrong_queue_head_detected(self, queue):
+        engine = self._stalled_engine()
+        getattr(engine, queue).clear()  # lose the unfinished store / branch
+        with pytest.raises(InvariantViolation, match="oldest-unfinished queue"):
+            InvariantChecker()(engine)
+
+    def test_cspp_reference_checked(self, monkeypatch):
+        from repro.circuits import cspp
+
+        engine = self._stalled_engine()
+        monkeypatch.setattr(
+            cspp, "cyclic_segmented_and", lambda values, segments: [True] * len(values)
+        )
+        with pytest.raises(InvariantViolation, match="CSPP"):
+            InvariantChecker()(engine)
+
 
 def _forwarding_bug(monkeypatch):
-    """Install the classic bug: DONE station forwards a stale value.
+    """Install the classic bug: a consumer reads a stale register value.
 
-    A station that writes r1 asserts its ready bit but the overlaid
-    value stays the committed register file's (pre-write) value — a
-    broken result bus, invisible to anything but differential testing.
+    The rename step drops every link to an in-flight producer of r1, so
+    a consumer of r1 takes the committed register file's (pre-write)
+    value in place of its producer's result — a broken result bus,
+    invisible to anything but differential testing.
     """
-    healthy = RingProcessor._register_views
+    healthy = RingProcessor._rename
 
-    def buggy(self, occupied):
-        views = healthy(self, occupied)
-        stale = list(self.committed_regs)
-        for view in views:
-            if view.ready[1]:
-                view.values[1] = stale[1]
-        return views
+    def buggy(self, inst):
+        return tuple(
+            (reg, None, -1) if reg == 1 else (reg, producer, tag)
+            for reg, producer, tag in healthy(self, inst)
+        )
 
-    monkeypatch.setattr(RingProcessor, "_register_views", buggy)
+    monkeypatch.setattr(RingProcessor, "_rename", buggy)
 
 
 class TestMutationCatchAndShrink:
@@ -185,6 +242,22 @@ class TestMutationCatchAndShrink:
         assert len(replayed.program) == len(shrunk.program)
         assert run_case(replayed, **FAST) is not None
 
+    def test_shrinking_keeps_the_program_terminating(self, monkeypatch):
+        """A removal that breaks a loop's exit is no reduction."""
+        _forwarding_bug(monkeypatch)
+        loops = [case for case in corpus_cases(1) if run_case(case, **FAST) is not None]
+        assert loops, "no corpus workload caught the injected bug"
+        for case in loops:
+            shrunk = shrink_case(run_case(case, **FAST), **FAST)
+            original = run_oracle(case.program, case.initial_registers, case.memory_image)
+            reduced = run_oracle(
+                shrunk.program,
+                shrunk.initial_registers,
+                shrunk.memory_image,
+                max_steps=original.dynamic_length,
+            )
+            assert reduced.halted
+
     def test_reproducer_clean_after_fix(self, monkeypatch, tmp_path):
         _forwarding_bug(monkeypatch)
         failure = None
@@ -196,6 +269,62 @@ class TestMutationCatchAndShrink:
         path = write_reproducer(tmp_path, failure)
         monkeypatch.undo()  # "fix" the bug
         assert run_case(load_reproducer(path), **FAST) is None
+
+
+class TestPredictorDraw:
+    def test_cases_draw_every_predictor(self):
+        drawn = {generate_case(seed, 12).predictor for seed in range(40)}
+        assert drawn == {"perfect", "not_taken", "bimodal"}
+
+    def test_squashes_are_fuzzed(self):
+        mispredicted = 0
+        for seed in range(20):
+            case = generate_case(seed, 24)
+            report = run_differential(
+                case.program,
+                initial_registers=case.initial_registers,
+                memory_image=case.memory_image,
+                window=8,
+                designs=("us1",),
+                predictor=case.predictor,
+                collect_stats=True,
+            )
+            assert report.ok, report.divergences
+            mispredicted += report.stats["us1"].get("commit.mispredictions", 0)
+        assert mispredicted > 0
+
+    def test_perfect_prediction_never_mispredicts(self):
+        for seed in range(20):
+            case = generate_case(seed, 24)
+            report = run_differential(
+                case.program,
+                initial_registers=case.initial_registers,
+                memory_image=case.memory_image,
+                window=8,
+                designs=("us1", "us2", "hybrid"),
+                collect_stats=True,
+            )
+            assert all(s.get("commit.mispredictions", 0) == 0 for s in report.stats.values())
+
+    def test_reproducer_records_predictor(self, tmp_path):
+        case = next(
+            c for c in (generate_case(seed, 8) for seed in range(40)) if c.predictor == "bimodal"
+        )
+        path = write_reproducer(tmp_path, CaseFailure(case=case, window=4, report=None, error="x"))
+        assert json.loads(path.read_text())["predictor"] == "bimodal"
+        assert load_reproducer(path).predictor == "bimodal"
+
+    def test_reproducer_without_predictor_loads_perfect(self, tmp_path):
+        case = generate_case(0, 8)
+        path = write_reproducer(tmp_path, CaseFailure(case=case, window=4, report=None, error="x"))
+        payload = json.loads(path.read_text())
+        del payload["predictor"]
+        path.write_text(json.dumps(payload))
+        assert load_reproducer(path).predictor == "perfect"
+
+    def test_unknown_predictor_rejected(self):
+        with pytest.raises(ValueError, match="unknown predictor"):
+            run_differential(paper_sequence().program, predictor="psychic")
 
 
 class TestShardAndReproducers:

@@ -12,7 +12,8 @@ Groups (mirroring the subsystems the ROADMAP cares about):
 
 * ``engine`` — full-program throughput of the three paper designs
   (us1 / us2 / hybrid), driven through :mod:`repro.api` exactly the
-  way users drive them, across window sizes;
+  way users drive them: straight-line code at windows 8 and 32, and a
+  branchy and a memory kernel at the paper's windows 128 and 512;
 * ``vector`` — the NumPy-vectorized large-*n* ring engine;
 * ``cspp`` — the behavioural cyclic-segmented-scan kernel the
   datapaths are built from;
@@ -27,6 +28,7 @@ covering all three processor designs) sized for CI smoke runs.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -107,6 +109,75 @@ def _register_engines() -> None:
                         "design": design,
                         "window_size": window,
                         "instructions": count,
+                        "seed": 1999,
+                    },
+                )
+            )
+
+
+#: wide-window entries: a branchy and a memory kernel at the paper's sizes
+WIDE_SORT_VALUES = 12
+WIDE_DAXPY_ITERATIONS = 32
+WIDE_CLUSTER = 16
+WIDE_FETCH = 16
+
+
+def _wide_engine_thunk(design: str, window: int) -> Callable[[], Any]:
+    from repro.api import CachedMemory, IdealMemory, ProcessorConfig, build_processor
+    from repro.frontend.branch_predictor import BimodalPredictor
+    from repro.memory.interleaved_cache import InterleavedCache
+    from repro.workloads.generators import daxpy_loop
+    from repro.workloads.kernels import bubble_sort
+
+    processor = build_processor(
+        design,
+        ProcessorConfig(window_size=window, fetch_width=WIDE_FETCH),
+        cluster_size=WIDE_CLUSTER,
+    )
+    sort = bubble_sort(random.Random(1999).sample(range(1000), WIDE_SORT_VALUES))
+    daxpy = daxpy_loop(WIDE_DAXPY_ITERATIONS)
+    # (workload, memory factory); predictors and memories hold state,
+    # so each run gets fresh ones
+    runs = (
+        (sort, IdealMemory),
+        (daxpy, lambda: CachedMemory(InterleavedCache(banks=8))),
+    )
+
+    def thunk() -> None:
+        for workload, make_memory in runs:
+            memory = make_memory()
+            memory.load_image(dict(workload.memory_image))
+            processor.run(
+                workload.program,
+                memory=memory,
+                predictor=BimodalPredictor(),
+                initial_registers=workload.registers_for(),
+            )
+
+    return thunk
+
+
+def _register_wide_engines() -> None:
+    for design in ("us1", "us2", "hybrid"):
+        for window in (128, 512):
+            register(
+                Benchmark(
+                    name=f"engine.{design}.w{window}",
+                    group="engine",
+                    title=(
+                        f"{design} at window {window}: bubble sort (bimodal) "
+                        "and daxpy (cached memory)"
+                    ),
+                    make=lambda design=design, window=window: _wide_engine_thunk(design, window),
+                    metadata={
+                        "design": design,
+                        "window_size": window,
+                        "cluster_size": WIDE_CLUSTER if design == "hybrid" else None,
+                        "fetch_width": WIDE_FETCH,
+                        "programs": [
+                            f"bubble_sort({WIDE_SORT_VALUES}) bimodal ideal",
+                            f"daxpy_loop({WIDE_DAXPY_ITERATIONS}) bimodal cached",
+                        ],
                         "seed": 1999,
                     },
                 )
@@ -322,6 +393,7 @@ def _register_verify() -> None:
 
 
 _register_engines()
+_register_wide_engines()
 _register_vector()
 _register_cspp()
 _register_network()

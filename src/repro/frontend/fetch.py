@@ -18,8 +18,13 @@ from dataclasses import dataclass
 
 from repro.frontend.branch_predictor import BranchPredictor
 from repro.isa.instruction import Instruction
+from repro.isa.opcodes import OpClass, Opcode
 from repro.isa.program import Program
 from repro.memory.trace_cache import TraceCache
+
+_BRANCH = OpClass.BRANCH
+_JUMP = OpClass.JUMP
+_HALT = Opcode.HALT
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,7 @@ class FetchUnit:
         self.predictor = predictor
         self.width = width
         self.trace_cache = trace_cache
+        self._kinds = program.kinds
         self._pc: int | None = 0 if len(program) else None
         self.fetched_count = 0
         self.trace_cache_hits = 0
@@ -90,10 +96,11 @@ class FetchUnit:
 
     def _predict(self, pc: int, inst: Instruction) -> tuple[bool | None, int]:
         """(prediction, next pc) along the predicted path."""
-        if inst.is_branch:
+        kind = self._kinds[pc]
+        if kind is _BRANCH:
             taken = self.predictor.predict(pc, inst)
             return taken, (inst.target if taken else pc + 1)
-        if inst.is_control:  # unconditional jump
+        if kind is _JUMP:
             return True, inst.target
         return None, pc + 1
 
@@ -115,7 +122,7 @@ class FetchUnit:
         if fetched:
             self.fetched_count += len(fetched)
             last = fetched[-1]
-            if last.instruction.is_halt:
+            if last.instruction.op is _HALT:
                 self._pc = None
             elif not 0 <= last.predicted_next < len(self.program):
                 self._pc = None
@@ -128,19 +135,13 @@ class FetchUnit:
     ) -> list[FetchedInstruction]:
         assert self._pc is not None
         pc = self._pc
+        instructions = self.program.instructions
         fetched: list[FetchedInstruction] = []
-        while len(fetched) < budget and 0 <= pc < len(self.program):
-            inst = self.program[pc]
+        while len(fetched) < budget and 0 <= pc < len(instructions):
+            inst = instructions[pc]
             predicted, next_pc = self._predict(pc, inst)
-            fetched.append(
-                FetchedInstruction(
-                    static_index=pc,
-                    instruction=inst,
-                    predicted_taken=predicted,
-                    predicted_next=next_pc,
-                )
-            )
-            if inst.is_halt:
+            fetched.append(FetchedInstruction(pc, inst, predicted, next_pc))
+            if inst.op is _HALT:
                 break
             if stop_at_taken and predicted is True:
                 break  # cannot fetch past a taken transfer without a trace cache

@@ -30,19 +30,27 @@ class LatencyModel:
         for name in ("alu", "mul", "div", "load", "store", "branch", "jump", "system"):
             if getattr(self, name) < 1:
                 raise ValueError(f"latency {name} must be >= 1")
+        # OpClass -> cycles, built once: engines ask per instruction.  Not
+        # a field, so equality, hashing and repr still see the eight
+        # class latencies only.
+        object.__setattr__(
+            self,
+            "_cycles",
+            {
+                OpClass.ALU: self.alu,
+                OpClass.MUL: self.mul,
+                OpClass.DIV: self.div,
+                OpClass.LOAD: self.load,
+                OpClass.STORE: self.store,
+                OpClass.BRANCH: self.branch,
+                OpClass.JUMP: self.jump,
+                OpClass.SYSTEM: self.system,
+            },
+        )
 
     def latency_of(self, op: Opcode) -> int:
         """The execution latency, in cycles, of *op*."""
-        return {
-            OpClass.ALU: self.alu,
-            OpClass.MUL: self.mul,
-            OpClass.DIV: self.div,
-            OpClass.LOAD: self.load,
-            OpClass.STORE: self.store,
-            OpClass.BRANCH: self.branch,
-            OpClass.JUMP: self.jump,
-            OpClass.SYSTEM: self.system,
-        }[op.op_class]
+        return self._cycles[op.op_class]
 
 
 #: Latencies used by the paper's Figure 3 timing diagram.

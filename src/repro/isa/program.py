@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from repro.isa.instruction import Instruction
+from repro.isa.opcodes import OpClass
 from repro.isa.registers import MachineSpec
 
 
@@ -42,6 +44,16 @@ class Program:
 
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)
+
+    @cached_property
+    def kinds(self) -> tuple[OpClass, ...]:
+        """Each instruction's :class:`OpClass`, by static index.
+
+        Decoded once per program: the engines test these with ``is``
+        every cycle, where :attr:`Instruction.is_branch` and friends pay
+        two enum lookups per use.
+        """
+        return tuple(inst.op.op_class for inst in self.instructions)
 
     def disassemble(self) -> str:
         """Render the program as assembly text with label annotations."""

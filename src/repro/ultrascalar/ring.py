@@ -50,9 +50,21 @@ here the same answers come from incremental state:
   stores, memory operations and control transfers.  "Every older
   station has finished its stores" is "the head of the store queue is
   not older than me";
-* **worklists** — issue walks the waiting stations, execute walks the
-  executing ones, memory completions find their station by request id,
-  and ALU arbitration runs over this cycle's ready candidates.
+* **wakeup lists** — at fetch a station counts its links to unfinished
+  producers (``pending``) and registers with each one; a producer that
+  finishes decrements its consumers' counts, and a consumer that
+  reaches zero is woken.  Woken stations join the age-ordered ready
+  list at the start of the next issue phase (the one-cycle forwarding
+  rule), so issue walks only stations whose producers have all
+  finished; the final operand read still decides, which keeps
+  self-timed wire delays exact.  Execute walks the executing stations,
+  memory completions find their station by request id, and ALU
+  arbitration runs over this cycle's candidates;
+* **decode once** — each station carries its instruction's
+  :class:`~repro.isa.opcodes.OpClass` from the program's per-index
+  table (:attr:`~repro.isa.program.Program.kinds`), and execute
+  latencies come from a per-index table, so no phase re-derives an
+  instruction's class.
 
 The CSPP semantics are the reference: :mod:`repro.verify.invariants`
 recomputes the register views and the three ordering conditions with
@@ -81,6 +93,14 @@ from repro.util.bitops import to_unsigned, tree_level_distance
 _DONE = StationState.DONE
 _WAITING = StationState.WAITING
 _EXECUTING = StationState.EXECUTING
+_MEMORY = StationState.MEMORY
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+_BRANCH = OpClass.BRANCH
+_JUMP = OpClass.JUMP
+_SYSTEM = OpClass.SYSTEM
+#: classes that need no ALU: memory operations use the memory network
+_NO_ALU = (_LOAD, _STORE, _SYSTEM)
 #: queue head of an empty oldest-unfinished queue: younger than any tag
 _NO_TAG = float("inf")
 _tag_of = attrgetter("tag")
@@ -135,6 +155,10 @@ class RingProcessor:
         else:
             self._refill_mode = "per_cluster"
         self.fetch = fetch_unit or FetchUnit(program, predictor, width=config.fetch_width)
+        self._kinds = program.kinds
+        #: execute latency by static index
+        self._latency = [config.latencies.latency_of(inst.op) for inst in program]
+        self._self_timed = config.self_timed
         self.cycle = 0
         self.seq = 0
         self.committed: list[StepOutcome] = []
@@ -159,8 +183,12 @@ class RingProcessor:
         self._unfinished_stores: deque[tuple[Station, int]] = deque()
         self._unfinished_memory: deque[tuple[Station, int]] = deque()
         self._unfinished_control: deque[tuple[Station, int]] = deque()
-        #: WAITING and EXECUTING stations, oldest first
-        self._waiting: list[Station] = []
+        #: WAITING stations with no unfinished producer, oldest first
+        self._ready: list[Station] = []
+        #: stations whose last producer finished this cycle; they join
+        #: ``_ready`` at the next issue phase
+        self._woken: list[Station] = []
+        #: EXECUTING stations, oldest first
         self._executing: list[Station] = []
         #: outstanding memory request id -> the station in MEMORY state
         self._requests: dict[int, Station] = {}
@@ -189,6 +217,7 @@ class RingProcessor:
         if self._tracing and fetched:
             self.tracer.count("fetch.cycles_active")
             self.tracer.count("fetch.instructions", len(fetched))
+        kinds = self._kinds
         pos = (self.oldest + len(self.window)) % self.n
         for fetched_inst in fetched:
             station = self.stations[pos]
@@ -197,17 +226,28 @@ class RingProcessor:
             self._next_tag += 1
             station.tag = tag
             inst = fetched_inst.instruction
-            station.sources = self._rename(inst)
+            kind = station.kind = kinds[fetched_inst.static_index]
+            sources = station.sources = self._rename(inst)
+            pending = 0
+            for _reg, producer, producer_tag in sources:
+                live = producer is not None and producer.tag == producer_tag
+                if live and producer.state is not _DONE:
+                    pending += 1
+                    producer.consumers.append((station, tag))
+            station.pending = pending
             if inst.rd is not None:
                 self._last_writer[inst.rd] = (station, tag)
-            if inst.is_memory:
+            if kind is _LOAD:
                 self._unfinished_memory.append((station, tag))
-                if inst.is_store:
-                    self._unfinished_stores.append((station, tag))
-            elif inst.is_control:
+            elif kind is _STORE:
+                self._unfinished_memory.append((station, tag))
+                self._unfinished_stores.append((station, tag))
+            elif kind is _BRANCH or kind is _JUMP:
                 self._unfinished_control.append((station, tag))
             self.window.append(station)
-            self._waiting.append(station)
+            if not pending:
+                # the youngest station, so the list stays age-ordered
+                self._ready.append(station)
             self.seq += 1
             pos = (pos + 1) % self.n
 
@@ -246,13 +286,13 @@ class RingProcessor:
             if producer is not None and producer.tag == tag:
                 if producer.state is not _DONE or producer.result is None:
                     return None
-                if self.config.self_timed and self.cycle < producer.complete_cycle + (
+                if self._self_timed and self.cycle < producer.complete_cycle + (
                     self._forward_latency(producer.index, station.index)
                 ):
                     return None
                 operands.append(producer.result)
             else:
-                if self.config.self_timed:
+                if self._self_timed:
                     # still in flight from the station that produced it
                     # (initial register values have no producer)
                     source_pos = self._reg_source_pos[reg]
@@ -295,16 +335,9 @@ class RingProcessor:
         ``num_alus`` set; without it every candidate has its own ALU, as
         the paper's layouts replicate.
         """
-        busy = sum(
-            1
-            for s in self._executing
-            if s.fetched.instruction.op.op_class is not OpClass.SYSTEM
-        )
+        busy = sum(1 for s in self._executing if s.kind is not _SYSTEM)
         free = max(0, self.config.num_alus - busy)
-        requests = [
-            not inst.is_memory and inst.op.op_class is not OpClass.SYSTEM
-            for inst in (station.fetched.instruction for station, _ in ready)
-        ]
+        requests = [station.kind not in _NO_ALU for station, _ in ready]
         if free == 0:
             grants = [False] * len(ready)
         else:
@@ -320,24 +353,40 @@ class RingProcessor:
         """
         position = (station.index - self.oldest) % self.n
         for earlier in reversed(self.window[:position]):
-            if earlier.fetched.instruction.is_store and earlier.address == station.address:
+            if earlier.kind is _STORE and earlier.address == station.address:
                 return earlier
         return None
 
+    def _wake(self, producer: Station) -> None:
+        """*producer* has finished: count it off each live consumer's wait."""
+        for consumer, tag in producer.consumers:
+            if consumer.tag == tag:
+                consumer.pending -= 1
+                if not consumer.pending:
+                    self._woken.append(consumer)
+
     def _phase_issue(self) -> None:
-        if not self._waiting:
+        if self._woken:
+            # results finished last cycle are visible from this cycle on
+            self._ready.extend(self._woken)
+            self._ready.sort(key=_tag_of)
+            self._woken = []
+        if not self._ready:
             return
         stores_head, memory_head, control_head = self.oldest_unfinished_tags()
-        # pass 1: who could issue this cycle?  (age order)
+        # pass 1: who could issue this cycle?  (age order; the Figure 5
+        # ordering conditions first, as they are cheaper than operands)
         ready: list[tuple[Station, list[int]]] = []
-        for station in self._waiting:
+        for station in self._ready:
+            kind = station.kind
+            if kind is _LOAD:
+                if stores_head < station.tag:
+                    continue
+            elif kind is _STORE:
+                if memory_head < station.tag or control_head < station.tag:
+                    continue
             operands = self._operands(station)
             if operands is None:
-                continue
-            inst = station.fetched.instruction
-            if inst.is_load and stores_head < station.tag:
-                continue
-            if inst.is_store and (memory_head < station.tag or control_head < station.tag):
                 continue
             ready.append((station, operands))
         if not ready:
@@ -354,12 +403,13 @@ class RingProcessor:
                     self.tracer.count("issue.alu_denied")
                 continue  # no free ALU this cycle; retry next cycle
             inst = station.fetched.instruction
+            kind = station.kind
             station.operands = tuple(operands)
             station.issue_cycle = self.cycle
             issued += 1
             if self._tracing:
-                self._trace_issue(station, inst)
-            if inst.is_load:
+                self._trace_issue(station)
+            if kind is _LOAD:
                 station.address = to_unsigned(operands[0] + inst.imm)
                 forwarder = (
                     self._find_forwarding_store(station) if self.config.store_forwarding else None
@@ -377,21 +427,21 @@ class RingProcessor:
                     station.memory_request_id = self.memory.submit_load(
                         station.address, leaf=station.index
                     )
-                    station.state = StationState.MEMORY
+                    station.state = _MEMORY
                     self._requests[station.memory_request_id] = station
-            elif inst.is_store:
+            elif kind is _STORE:
                 station.address = to_unsigned(operands[0] + inst.imm)
                 station.memory_request_id = self.memory.submit_store(
                     station.address, operands[1], leaf=station.index
                 )
-                station.state = StationState.MEMORY
+                station.state = _MEMORY
                 self._requests[station.memory_request_id] = station
             else:
                 station.state = _EXECUTING
-                station.remaining = self.config.latencies.latency_of(inst.op)
+                station.remaining = self._latency[station.fetched.static_index]
                 started.append(station)
         if issued:
-            self._waiting = [s for s in self._waiting if s.state is _WAITING]
+            self._ready = [s for s in self._ready if s.state is _WAITING]
             if started:
                 # both runs are age-ordered; the sort merges them
                 self._executing.extend(started)
@@ -400,7 +450,7 @@ class RingProcessor:
                 self.tracer.count("issue.cycles_active")
                 self.tracer.count("issue.instructions", issued)
 
-    def _trace_issue(self, station: Station, inst) -> None:
+    def _trace_issue(self, station: Station) -> None:
         """Record forwarding provenance and memory traffic for one issue."""
         for _reg, producer, tag in station.sources:
             if producer is not None and producer.tag == tag:
@@ -413,9 +463,9 @@ class RingProcessor:
                 )
             else:
                 self.tracer.count("forward.from_regfile")
-        if inst.is_load:
+        if station.kind is _LOAD:
             self.tracer.count("mem.loads")
-        elif inst.is_store:
+        elif station.kind is _STORE:
             self.tracer.count("mem.stores")
 
     def _phase_execute(self) -> None:
@@ -426,27 +476,27 @@ class RingProcessor:
             if station.remaining > 0:
                 still.append(station)
                 continue
-            inst = station.fetched.instruction
             station.state = _DONE
             station.complete_cycle = self.cycle
-            op = inst.op
-            if inst.is_branch:
-                station.taken = branch_taken(op, station.operands[0], station.operands[1])
+            if station.consumers:
+                self._wake(station)
+            inst = station.fetched.instruction
+            kind = station.kind
+            if kind is _BRANCH:
+                station.taken = branch_taken(inst.op, station.operands[0], station.operands[1])
                 actual_next = inst.target if station.taken else station.fetched.static_index + 1
                 if station.taken != station.fetched.predicted_taken:
                     # younger stations are squashed; stop this phase
                     self._executing = still
                     self._mispredict(station, actual_next)
                     return
-            elif op is Opcode.J:
+            elif kind is _JUMP:
                 station.taken = True
-            elif op in (Opcode.HALT, Opcode.NOP):
-                pass
-            elif inst.is_load:
-                pass  # store-forwarded load: result preset at issue
+            elif kind is _SYSTEM or kind is _LOAD:
+                pass  # NOP / HALT, or a store-forwarded load (result preset at issue)
             else:
                 station.result = alu_result(
-                    op,
+                    inst.op,
                     station.operands[0] if station.operands else 0,
                     station.operands[1] if len(station.operands) > 1 else 0,
                     inst.imm,
@@ -456,14 +506,19 @@ class RingProcessor:
     def _mispredict(self, branch: Station, actual_next: int) -> None:
         """Squash everything younger than *branch*; redirect fetch.
 
-        The worklists and queues are age-ordered, so each loses a tail;
-        the rename table is rebuilt from the surviving stations.
+        The ready and executing lists and the queues are age-ordered, so
+        each loses a tail; the woken list (an older producer may have
+        woken a younger consumer earlier in this execute phase) is
+        filtered; the rename table is rebuilt from the surviving
+        stations.
         """
         self.mispredictions += 1
         tag = branch.tag
-        for worklist in (self._waiting, self._executing):
+        for worklist in (self._ready, self._executing):
             while worklist and worklist[-1].tag > tag:
                 worklist.pop()
+        if self._woken:
+            self._woken = [s for s in self._woken if s.tag <= tag]
         for queue in (self._unfinished_stores, self._unfinished_memory, self._unfinished_control):
             while queue and queue[-1][1] > tag:
                 queue.pop()
@@ -496,8 +551,10 @@ class RingProcessor:
                 continue
             station.state = _DONE
             station.complete_cycle = self.cycle
-            if station.fetched.instruction.is_load:
+            if station.kind is _LOAD:
                 station.result = value
+            if station.consumers:
+                self._wake(station)
 
     def _phase_commit(self) -> None:
         """Commit finished oldest instructions; deallocate whole clusters.
@@ -514,17 +571,18 @@ class RingProcessor:
         count = self._committed_count
         while count < len(window):
             station = window[count]
-            if not station.done:
+            if station.state is not _DONE:
                 break
             inst = station.fetched.instruction
-            reg = station.writes_register
+            kind = station.kind
+            reg = inst.rd
             if reg is not None and station.result is not None:
                 self.committed_regs[reg] = station.result
                 self._reg_source_pos[reg] = station.index
                 self._reg_source_cycle[reg] = station.complete_cycle
             taken = station.taken
             next_pc = station.fetched.static_index + 1
-            if inst.is_control and taken:
+            if taken and (kind is _BRANCH or kind is _JUMP):
                 next_pc = inst.target
             self.committed.append(
                 StepOutcome(
@@ -548,9 +606,9 @@ class RingProcessor:
                     commit_cycle=self.cycle,
                 )
             )
-            if inst.is_branch:
+            if kind is _BRANCH:
                 self.predictor.update(station.fetched.static_index, bool(taken))
-            if inst.is_halt:
+            elif inst.op is Opcode.HALT:
                 self.halted = True
             station.committed = True
             count += 1

@@ -20,9 +20,10 @@ station are DONE — computed, like everything else, by a CSPP condition.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.frontend.fetch import FetchedInstruction
+from repro.isa.opcodes import OpClass
 
 
 class StationState(enum.Enum):
@@ -72,6 +73,15 @@ class Station:
     #: operand; a ``None`` producer, or one whose tag has moved on, means
     #: the value comes from the committed register file
     sources: tuple = ()
+    #: the held instruction's class, decoded once per program
+    #: (:attr:`repro.isa.program.Program.kinds`); None when EMPTY
+    kind: OpClass | None = None
+    #: wakeup state: how many linked producers were unfinished at fetch
+    #: and have not finished since; the station can issue only at 0
+    pending: int = 0
+    #: ``(consumer, consumer tag)`` of each link made to this station
+    #: while it was unfinished; woken when it finishes
+    consumers: list = field(default_factory=list)
 
     @property
     def occupied(self) -> bool:
@@ -100,10 +110,15 @@ class Station:
         self.committed = False
         self.tag = -1
         self.sources = ()
+        self.kind = None
+        self.pending = 0
+        self.consumers.clear()
 
     def load(self, fetched: FetchedInstruction, seq: int, cycle: int) -> None:
         """Fill the station with a newly fetched instruction."""
-        self.clear()
+        if self.state is not StationState.EMPTY:
+            # deallocation and squash clear a station as they free it
+            self.clear()
         self.fetched = fetched
         self.state = StationState.WAITING
         self.seq = seq

@@ -21,6 +21,13 @@ Checked properties (violations raise :class:`InvariantViolation`):
   committed register file when there is none), as a one-pass walk of the
   window recomputes them.  This is the register CSPP's answer, checked in
   O(n) per cycle.
+* **Wakeup state** — every waiting station's ``pending`` count equals
+  its live links to unfinished producers, each such producer lists the
+  station (with its current tag) among its consumers, and the station
+  is on the engine's ready or woken list exactly when its count is
+  zero; the ready list is age-ordered and holds only waiting stations.
+  A lost or doubled wakeup therefore fails the cycle it happens, not
+  when the run later deadlocks or issues early.  O(n) per cycle.
 * **Ordering-condition consistency** — the Figure 5 conditions the
   engine derives from its oldest-unfinished queues (stores done / memory
   done / branches resolved for all older stations) equal both the CSPP
@@ -148,6 +155,7 @@ class InvariantChecker:
         self._check_commit_fifo(engine)
         self._check_done_monotonic(engine, stations)
         self._check_producer_links(engine, stations)
+        self._check_wakeup_state(engine, stations)
         self._check_ring_ordering(engine, stations)
         if engine.cluster_size == engine.n:
             self._check_grid_routing(engine, stations)
@@ -212,6 +220,53 @@ class InvariantChecker:
             reg = station.writes_register
             if reg is not None:
                 nearest[reg] = station
+
+    def _check_wakeup_state(self, engine: RingProcessor, window) -> None:
+        """Pending counts, consumer registrations and the ready lists agree."""
+        self.checks += 1
+        ready_tags = [station.tag for station in engine._ready]
+        if any(older >= younger for older, younger in zip(ready_tags, ready_tags[1:])):
+            self._fail(engine, f"ready list is not age-ordered: tags {ready_tags}")
+        listed = ready_tags + [station.tag for station in engine._woken]
+        # (producer tag, consumer tag) of every live registration
+        registered = set()
+        waiting = set()
+        for station in window:
+            if station.state is StationState.WAITING:
+                waiting.add(station.tag)
+            if station.state is not StationState.DONE:
+                for consumer, tag in station.consumers:
+                    if consumer.tag == tag:
+                        registered.add((station.tag, tag))
+        strays = [tag for tag in listed if tag not in waiting]
+        if strays or len(set(listed)) != len(listed):
+            self._fail(engine, f"ready/woken lists hold stale or repeated stations: tags {listed}")
+        listed = set(listed)
+        for station in window:
+            if station.state is not StationState.WAITING:
+                continue
+            pending = 0
+            for reg, producer, tag in station.sources:
+                if producer is not None and producer.tag == tag and not producer.done:
+                    pending += 1
+                    if (tag, station.tag) not in registered:
+                        self._fail(
+                            engine,
+                            f"station {station.index} (seq {station.seq}) waits on "
+                            f"{_describe(producer)} for r{reg} but is not among its consumers",
+                        )
+            if station.pending != pending:
+                self._fail(
+                    engine,
+                    f"station {station.index} (seq {station.seq}) has pending "
+                    f"{station.pending}, but {pending} linked producers are unfinished",
+                )
+            if (pending == 0) != (station.tag in listed):
+                self._fail(
+                    engine,
+                    f"station {station.index} (seq {station.seq}) with pending {pending} is "
+                    f"{'' if station.tag in listed else 'not '}on the ready or woken list",
+                )
 
     def _check_ring_ordering(self, engine: RingProcessor, window) -> None:
         """Queue-derived ordering conditions equal the CSPP and the naive walk."""

@@ -9,6 +9,13 @@ telemetry counter.  Any change to the engine's behaviour moves at least
 one digest.  Predictors are explicit objects, so a change to the
 factories' default predictor cannot move the corpus.
 
+``tests/golden/engine_corpus_wide.json`` does the same at the paper's
+window sizes (128 and 512), where the other corpus's windows of 16 or
+less never reach: us1, us2 and the hybrid with C=16 on a cached-memory
+daxpy loop and an 8-value bubble sort (both bimodal prediction) and a
+300-instruction random ILP program (perfect prediction), each under
+the default knobs, ``self_timed`` alone and all three knobs.
+
 Regenerate (only for a reviewed behaviour change) with
 ``PYTHONPATH=src python -m pytest tests/integration/test_engine_corpus.py
 --update-golden``.
@@ -33,6 +40,7 @@ from repro.workloads import daxpy_loop, random_ilp, store_load_pairs
 from repro.workloads.kernels import bubble_sort
 
 CORPUS = Path(__file__).resolve().parents[1] / "golden" / "engine_corpus.json"
+WIDE_CORPUS = CORPUS.with_name("engine_corpus_wide.json")
 
 #: (name, window -> cluster size); us2 spans the window
 DESIGNS = (
@@ -56,6 +64,23 @@ KNOBS = {
 }
 ENTRIES = 400
 
+#: the wide corpus: every combination of these, in this order
+WIDE_DESIGNS = (
+    ("us1", lambda window: 1),
+    ("us2", lambda window: window),
+    ("hybrid16", lambda window: 16),
+)
+WIDE_WINDOWS = (128, 512)
+WIDE_KNOBS = ("default", "timed", "all")
+#: program name -> (memory, predictor)
+WIDE_PROGRAMS = {
+    "daxpy12": ("cached", "bimodal"),
+    "bubble8": ("ideal", "bimodal"),
+    "ilp300": ("ideal", "perfect"),
+}
+WIDE_FETCH = 16
+CLUSTERS = dict(DESIGNS + WIDE_DESIGNS)
+
 
 def _programs() -> dict[str, tuple]:
     """name -> (program, initial registers, memory image)."""
@@ -76,6 +101,39 @@ def _programs() -> dict[str, tuple]:
     ):
         programs[name] = (workload.program, workload.registers_for(), dict(workload.memory_image))
     return programs
+
+
+def _wide_programs() -> dict[str, tuple]:
+    """name -> (program, initial registers, memory image)."""
+    return {
+        name: (workload.program, workload.registers_for(), dict(workload.memory_image))
+        for name, workload in (
+            ("daxpy12", daxpy_loop(12)),
+            ("bubble8", bubble_sort([5, 3, 7, 0, 6, 2, 7, 1])),
+            ("ilp300", random_ilp(300, 0.5, seed=7)),
+        )
+    }
+
+
+def _wide_entries() -> list[tuple[str, str, dict]]:
+    """The wide corpus's (key, program name, configuration) triples."""
+    entries = []
+    for design, _ in WIDE_DESIGNS:
+        for window in WIDE_WINDOWS:
+            for program, (memory, predictor) in WIDE_PROGRAMS.items():
+                for knobs in WIDE_KNOBS:
+                    config = {
+                        "program": program,
+                        "design": design,
+                        "window": window,
+                        "fetch": WIDE_FETCH,
+                        "predictor": predictor,
+                        "memory": memory,
+                        "knobs": knobs,
+                    }
+                    key = "|".join(str(config[k]) for k in sorted(config))
+                    entries.append((key, program, config))
+    return entries
 
 
 def _entries() -> list[tuple[str, str, dict]]:
@@ -141,7 +199,7 @@ def fingerprint(program, registers, image, config: dict) -> dict:
         processor_config,
         predictor=_predictor(config["predictor"], program, registers, image),
         memory=_memory(config["memory"], image),
-        cluster_size=dict(DESIGNS)[config["design"]](window),
+        cluster_size=CLUSTERS[config["design"]](window),
         initial_registers=list(registers),
         tracer=tracer,
     )
@@ -170,22 +228,28 @@ def fingerprint(program, registers, image, config: dict) -> dict:
     }
 
 
-def build_corpus() -> dict[str, dict]:
+def build_corpus(programs=None, entries=None) -> dict[str, dict]:
     """Fingerprint every corpus entry with the current engine."""
-    programs = _programs()
-    return {
-        key: fingerprint(*programs[name], config) for key, name, config in _entries()
-    }
+    programs = _programs() if programs is None else programs
+    entries = _entries() if entries is None else entries
+    return {key: fingerprint(*programs[name], config) for key, name, config in entries}
 
 
-def test_engine_corpus_replays(update_golden):
-    corpus = build_corpus()
+def _replay(path: Path, corpus: dict[str, dict], update_golden: bool) -> None:
     if update_golden:
-        CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
-    frozen = json.loads(CORPUS.read_text())
+        path.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
+    frozen = json.loads(path.read_text())
     assert sorted(frozen) == sorted(corpus), "corpus configurations changed"
     mismatches = [key for key in sorted(frozen) if frozen[key] != corpus[key]]
     assert not mismatches, f"{len(mismatches)} of {len(frozen)} entries moved: {mismatches[:5]}"
+
+
+def test_engine_corpus_replays(update_golden):
+    _replay(CORPUS, build_corpus(), update_golden)
+
+
+def test_wide_engine_corpus_replays(update_golden):
+    _replay(WIDE_CORPUS, build_corpus(_wide_programs(), _wide_entries()), update_golden)
 
 
 def test_corpus_covers_squashes_and_every_design():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.isa import AssemblerError, Opcode, assemble
+from repro.isa.opcodes import OpClass
 from repro.isa.registers import MachineSpec
 
 
@@ -22,6 +23,15 @@ class TestBasic:
     def test_case_insensitive_mnemonics(self):
         program = assemble("ADD r1, r2, r3\nAdd r4, r5, r6")
         assert all(inst.op is Opcode.ADD for inst in program)
+
+    def test_kinds_decoded_once(self):
+        program = assemble("add r1, r2, r3\nmul r4, r1, r1\nlw r5, 0(r1)\nsw r5, 4(r1)\n"
+                           "beq r1, r2, @6\nj @6\nhalt")
+        assert program.kinds == (
+            OpClass.ALU, OpClass.MUL, OpClass.LOAD, OpClass.STORE,
+            OpClass.BRANCH, OpClass.JUMP, OpClass.SYSTEM,
+        )
+        assert program.kinds is program.kinds
 
     def test_hex_immediates(self):
         program = assemble("li r1, 0x10\naddi r2, r1, -0x2")

@@ -187,6 +187,44 @@ class TestInvariantChecker:
         with pytest.raises(InvariantViolation, match="oldest-unfinished queue"):
             InvariantChecker()(engine)
 
+    def test_lost_wakeup_detected(self, monkeypatch):
+        """A finished producer that forgets one consumer fails that cycle."""
+        healthy = RingProcessor._wake
+        lost = []
+
+        def lossy(self, producer):
+            if not lost:
+                lost.append(producer.consumers.pop(0))
+            healthy(self, producer)
+
+        monkeypatch.setattr(RingProcessor, "_wake", lossy)
+        engine = self._stalled_engine(cycles=0)
+        engine._cycle_hook = InvariantChecker()
+        with pytest.raises(InvariantViolation, match="has pending 1, but 0"):
+            engine.run()
+
+    def test_wrong_pending_count_detected(self):
+        engine = self._stalled_engine()
+        by_pc = {station.fetched.static_index: station for station in engine.window}
+        by_pc[5].pending += 1  # addi r5, r3, 1 would wait for a second producer
+        with pytest.raises(InvariantViolation, match="has pending 2, but 1"):
+            InvariantChecker()(engine)
+
+    def test_pending_zero_off_the_ready_list_detected(self):
+        engine = self._stalled_engine(cycles=1)
+        # the li results woke the div this cycle; lose that wakeup
+        assert [s.fetched.static_index for s in engine._woken] == [2]
+        engine._woken.clear()
+        with pytest.raises(InvariantViolation, match="not on the ready or woken list"):
+            InvariantChecker()(engine)
+
+    def test_unregistered_consumer_detected(self):
+        engine = self._stalled_engine()
+        by_pc = {station.fetched.static_index: station for station in engine.window}
+        by_pc[2].consumers.clear()  # the div forgets who waits for it
+        with pytest.raises(InvariantViolation, match="is not among its consumers"):
+            InvariantChecker()(engine)
+
     def test_cspp_reference_checked(self, monkeypatch):
         from repro.circuits import cspp
 

@@ -13,11 +13,14 @@ Groups (mirroring the subsystems the ROADMAP cares about):
 * ``engine`` — full-program throughput of the three paper designs
   (us1 / us2 / hybrid), driven through :mod:`repro.api` exactly the
   way users drive them: straight-line code at windows 8 and 32, and a
-  branchy and a memory kernel at the paper's windows 128 and 512;
+  branchy and a memory kernel at the paper's windows 128 and 512, and
+  experiment E15's whole IPC-vs-window sweep;
 * ``vector`` — the NumPy-vectorized large-*n* ring engine;
 * ``cspp`` — the behavioural cyclic-segmented-scan kernel the
   datapaths are built from;
-* ``network`` — the Ultrascalar II argument-routing reference;
+* ``network`` — the Ultrascalar II argument-routing reference, and the
+  gate-level netlists of its register networks built and settled as
+  experiment E9 does;
 * ``isa`` — assemble → encode → decode round-trip throughput;
 * ``runner`` — the result cache's store/hit path;
 * ``verify`` — fuzz program generation (the verify CLI's hot loop).
@@ -184,6 +187,29 @@ def _register_wide_engines() -> None:
             )
 
 
+def _ilp_thunk() -> Callable[[], Any]:
+    from repro.experiments import ilp_limits
+
+    point = ilp_limits.SWEEP_POINTS[0]
+
+    def thunk() -> None:
+        ilp_limits.report(**point)
+
+    return thunk
+
+
+def _register_ilp() -> None:
+    register(
+        Benchmark(
+            name="experiments.ilp",
+            group="engine",
+            title="E15 IPC-vs-window sweep (us1, windows 8 to 2048)",
+            make=_ilp_thunk,
+            metadata={"design": "us1", "sweep_point": 0},
+        )
+    )
+
+
 # ----------------------------------------------------------------------
 # vector engine
 
@@ -292,6 +318,35 @@ def _register_network() -> None:
         )
 
 
+def _settle_thunk(network: str, n: int) -> Callable[[], Any]:
+    from repro.circuits.grid import GridNetwork, TreeGridNetwork
+
+    build = {"grid": GridNetwork, "treegrid": TreeGridNetwork}[network]
+    # the stimulus experiment E9 (repro.experiments.gate_depth) settles
+    initial = [(1, True)] * n
+    writes = [None] * n
+    reads = [[0, 0]] * n
+
+    def thunk() -> None:
+        build(n, n).settle_time(initial, writes, reads)
+
+    return thunk
+
+
+def _register_netlists() -> None:
+    for network in ("grid", "treegrid"):
+        for n in (16, 32):
+            register(
+                Benchmark(
+                    name=f"circuits.netlist.settle.{network}.n{n}",
+                    group="network",
+                    title=f"build and settle the US-II {network} netlist, n = L = {n}",
+                    make=lambda network=network, n=n: _settle_thunk(network, n),
+                    metadata={"network": network, "stations": n, "num_registers": n},
+                )
+            )
+
+
 # ----------------------------------------------------------------------
 # assembler / encoding round-trip
 
@@ -394,9 +449,11 @@ def _register_verify() -> None:
 
 _register_engines()
 _register_wide_engines()
+_register_ilp()
 _register_vector()
 _register_cspp()
 _register_network()
+_register_netlists()
 _register_isa()
 _register_runner()
 _register_verify()

@@ -47,20 +47,22 @@ _EVAL: dict[GateKind, Callable[[Sequence[bool]], bool]] = {
     GateKind.MUX: lambda ins: ins[1] if ins[0] else ins[2],
 }
 
-_ARITY: dict[GateKind, tuple[int, int]] = {
-    GateKind.BUF: (1, 1),
-    GateKind.NOT: (1, 1),
-    GateKind.AND: (2, 64),
-    GateKind.OR: (2, 64),
-    GateKind.XOR: (2, 64),
-    GateKind.XNOR: (2, 64),
-    GateKind.NAND: (2, 64),
-    GateKind.NOR: (2, 64),
-    GateKind.MUX: (3, 3),
+#: (min inputs, max inputs, default output-name prefix) per kind, so
+#: that ``add_gate`` pays one table lookup
+_SPEC: dict[GateKind, tuple[int, int, str]] = {
+    GateKind.BUF: (1, 1, "buf"),
+    GateKind.NOT: (1, 1, "not"),
+    GateKind.AND: (2, 64, "and"),
+    GateKind.OR: (2, 64, "or"),
+    GateKind.XOR: (2, 64, "xor"),
+    GateKind.XNOR: (2, 64, "xnor"),
+    GateKind.NAND: (2, 64, "nand"),
+    GateKind.NOR: (2, 64, "nor"),
+    GateKind.MUX: (3, 3, "mux"),
 }
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Net:
     """A single-bit wire.  Primary inputs have ``driver is None``."""
 
@@ -73,7 +75,7 @@ class Net:
         return f"Net({self.name})"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Gate:
     """A logic gate driving exactly one net."""
 
@@ -133,16 +135,17 @@ class Netlist:
 
     def add_gate(self, kind: GateKind, *inputs: Net, name: str | None = None, delay: int = 1) -> Net:
         """Add a gate; returns its output net."""
-        lo, hi = _ARITY[kind]
+        lo, hi, prefix = _SPEC[kind]
         if not lo <= len(inputs) <= hi:
-            raise ValueError(f"{kind.value} gate takes {lo}..{hi} inputs, got {len(inputs)}")
+            raise ValueError(f"{prefix} gate takes {lo}..{hi} inputs, got {len(inputs)}")
         if delay < 0:
             raise ValueError("gate delay must be non-negative")
-        out = Net(index=len(self.nets), name=name or f"{kind.value}{len(self.gates)}")
-        self.nets.append(out)
-        gate = Gate(index=len(self.gates), kind=kind, inputs=tuple(inputs), output=out, delay=delay)
+        nets, gates = self.nets, self.gates
+        out = Net(len(nets), name or f"{prefix}{len(gates)}")
+        nets.append(out)
+        gate = Gate(len(gates), kind, inputs, out, delay)
         out.driver = gate
-        self.gates.append(gate)
+        gates.append(gate)
         for net in inputs:
             net.fanout.append(gate)
         return out
@@ -235,57 +238,95 @@ class Netlist:
         ``RuntimeError`` if the netlist has not settled by *max_time*
         (an oscillating cycle).
         """
-        values: dict[Net, bool] = {net: False for net in self.nets}
+        nets = self.nets
+        values: list[bool] = [False] * len(nets)
         for value, net in self._const_cache.items():
-            values[net] = value
+            values[net.index] = value
         for net, value in assignments.items():
+            index = net.index
             if net.driver is not None:
                 raise ValueError(f"{net} is not a primary input")
-            values[net] = bool(value)
+            if index >= len(nets) or nets[index] is not net:
+                raise ValueError(f"{net} is not a net of netlist {self.name!r}")
+            values[index] = bool(value)
 
         # Schedule every gate once at its delay; thereafter only on input
         # changes.  Evaluation is two-phase per timestamp: all gates due at
         # time t read the pre-t values, then all output changes commit
         # together — so a chain of unit-delay gates takes one time unit per
         # stage, as real hardware timing requires.
-        queue: list[tuple[int, int]] = []  # (time, gate index)
-        queued: set[tuple[int, int]] = set()
+        #
+        # Net values live in a list indexed by ``Net.index``; ``buckets``
+        # holds the gates due at each time and ``times`` the distinct
+        # pending times.  A gate is only ever scheduled at non-decreasing
+        # times (now plus its fixed delay), so ``queued_at`` — the latest
+        # time each gate is queued for — keeps it out of a bucket twice.
+        # Gate wiring is read from the live objects, not compiled: builders
+        # such as MuxRing rewire ``gate.inputs`` after construction, and
+        # most gates are evaluated only once or twice per simulation.
+        gates = self.gates
+        queued_at = [gate.delay for gate in gates]
+        buckets: dict[int, list[Gate]] = {}
+        for gate in gates:
+            bucket = buckets.get(gate.delay)
+            if bucket is None:
+                buckets[gate.delay] = [gate]
+            else:
+                bucket.append(gate)
+        times = list(buckets)
+        heapq.heapify(times)
 
-        def schedule(time: int, gate: Gate) -> None:
-            key = (time, gate.index)
-            if key not in queued:
-                queued.add(key)
-                heapq.heappush(queue, key)
-
-        for gate in self.gates:
-            schedule(gate.delay, gate)
-
+        buf, inv, mux, evaluate = GateKind.BUF, GateKind.NOT, GateKind.MUX, _EVAL
+        heappop, heappush = heapq.heappop, heapq.heappush
         settle_time = 0
         events = 0
-        while queue:
-            time = queue[0][0]
+        while times:
+            time = heappop(times)
             if time > max_time:
                 raise RuntimeError(f"netlist {self.name!r} did not settle by t={max_time}")
-            due: list[Gate] = []
-            while queue and queue[0][0] == time:
-                _, gate_index = heapq.heappop(queue)
-                queued.discard((time, gate_index))
-                due.append(self.gates[gate_index])
-            updates: list[tuple[Gate, bool]] = []
+            due = buckets.pop(time)
+            events += len(due)
+            changed: list[Gate] = []
+            new_values: list[bool] = []
             for gate in due:
-                events += 1
-                new_value = gate.evaluate([values[net] for net in gate.inputs])
-                if new_value != values[gate.output]:
-                    updates.append((gate, new_value))
-            for gate, new_value in updates:
-                values[gate.output] = new_value
-            if updates:
-                settle_time = max(settle_time, time)
-                for gate, _ in updates:
-                    for successor in gate.output.fanout:
-                        schedule(time + successor.delay, successor)
+                # unmark, so a zero-delay gate can be queued again at this
+                # time; a mark for a later time stays
+                if queued_at[gate.index] == time:
+                    queued_at[gate.index] = -1
+                kind = gate.kind
+                ins = gate.inputs
+                if kind is buf:
+                    new_value = values[ins[0].index]
+                elif kind is mux:
+                    sel, a, b = ins
+                    new_value = values[a.index] if values[sel.index] else values[b.index]
+                elif kind is inv:
+                    new_value = not values[ins[0].index]
+                else:
+                    new_value = evaluate[kind]([values[net.index] for net in ins])
+                if new_value != values[gate.output.index]:
+                    changed.append(gate)
+                    new_values.append(new_value)
+            if not changed:
+                continue
+            settle_time = time
+            for gate, new_value in zip(changed, new_values):
+                values[gate.output.index] = new_value
+            for gate in changed:
+                for successor in gate.output.fanout:
+                    at = time + successor.delay
+                    if queued_at[successor.index] != at:
+                        queued_at[successor.index] = at
+                        bucket = buckets.get(at)
+                        if bucket is None:
+                            buckets[at] = [successor]
+                            heappush(times, at)
+                        else:
+                            bucket.append(successor)
 
-        return SimulationResult(values=values, settle_time=settle_time, events=events)
+        return SimulationResult(
+            values=dict(zip(nets, values)), settle_time=settle_time, events=events
+        )
 
     def simulate_words(
         self, assignments: dict[str, int], widths: dict[str, int] | None = None

@@ -7,9 +7,10 @@ infinite instruction window"; "Patt et al argue that a window size of
 parallelism available in a thousand-wide instruction window ... is not
 well understood."
 
-With the vectorized ring engine, we run that study on synthetic
-dependence graphs: IPC versus window size (8 → 2048) for a range of
-dependence densities.  The curves saturate at each workload's dataflow
+On the event-driven Ultrascalar I ring engine we run that study on
+synthetic dependence graphs: IPC versus window size (8 → 2048) for a
+range of dependence densities, with ideal memory and perfect
+prediction.  The curves saturate at each workload's dataflow
 limit — low-density code keeps gaining IPC deep into thousand-wide
 windows, which is precisely the regime the Ultrascalar is built for.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ultrascalar.vector_engine import VectorRingEngine
+from repro.ultrascalar import IdealMemory, ProcessorConfig, make_ultrascalar1
 from repro.util.tables import Table
 from repro.workloads import random_ilp
 
@@ -89,7 +90,7 @@ def run(
     sizes: list[int] | None = None,
     instructions: int = 4000,
 ) -> IlpLimitsResult:
-    """Sweep (density, window size); IPC from the vector engine."""
+    """Sweep (density, window size); IPC from the Ultrascalar I ring."""
     densities = densities or [0.2, 0.5, 0.8]
     windows = sizes or [8, 32, 128, 512, 2048]
     curves = []
@@ -97,8 +98,10 @@ def run(
         workload = random_ilp(instructions, density, seed=int(1000 * density) + 7)
         ipcs = []
         for window in windows:
-            engine = VectorRingEngine(
-                workload.program, window, min(window, 64),
+            engine = make_ultrascalar1(
+                workload.program,
+                ProcessorConfig(window_size=window, fetch_width=min(window, 64)),
+                memory=IdealMemory(),
                 initial_registers=workload.registers_for(),
             )
             ipcs.append(engine.run().ipc)
@@ -116,7 +119,7 @@ def report(
     windows = outcome.curves[0].windows
     table = Table(
         ["dependence density"] + [f"n={w}" for w in windows],
-        title="E15 — IPC vs window size at large n (vector engine; "
+        title="E15 — IPC vs window size at large n (ring engine; "
         "the thousand-wide-window study the paper calls for)",
     )
     for curve in outcome.curves:

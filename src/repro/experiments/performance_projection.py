@@ -3,9 +3,10 @@
 The paper compares VLSI complexities because they "have implications
 therefore on clock speeds"; combined with the behavioural result that
 all three designs extract the same ILP, the end-to-end story is
-IPC / clock-period.  This experiment runs the simulators for IPC,
-projects clock periods from the layout models, and multiplies — showing
-where the hybrid's shorter wires turn into real speedup, and how the
+IPC / clock-period.  This experiment measures IPC on the event-driven
+Ultrascalar I ring (ideal memory, perfect prediction), projects clock
+periods from the layout models, and multiplies — showing where the
+hybrid's shorter wires turn into real speedup, and how the
 conventional superscalar's quadratic stages collapse at high width.
 """
 
@@ -21,7 +22,7 @@ from repro.analysis.clock_period import (
     project_ultrascalar2,
 )
 from repro.baseline.complexity import conventional_superscalar_delay
-from repro.ultrascalar.vector_engine import VectorRingEngine
+from repro.ultrascalar import IdealMemory, ProcessorConfig, make_ultrascalar1
 from repro.util.tables import Table
 from repro.workloads import Workload, random_ilp
 
@@ -76,13 +77,16 @@ def run(
     sizes: list[int] | None = None,
     L: int = 32,
 ) -> ProjectionResult:
-    """Sweep window sizes; IPC from the vector engine, clocks from layouts."""
+    """Sweep window sizes; IPC from the Ultrascalar I ring, clocks from layouts."""
     workload = workload or random_ilp(3000, 0.35, seed=601)
     sizes = sizes or [16, 64, 256, 1024]
     rows: list[ProjectionRow] = []
     for n in sizes:
-        engine = VectorRingEngine(
-            workload.program, n, min(n, 64), initial_registers=workload.registers_for()
+        engine = make_ultrascalar1(
+            workload.program,
+            ProcessorConfig(window_size=n, fetch_width=min(n, 64)),
+            memory=IdealMemory(),
+            initial_registers=workload.registers_for(),
         )
         ipc = engine.run().ipc
         rows.append(

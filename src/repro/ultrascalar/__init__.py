@@ -15,9 +15,11 @@ implement; they differ only in how many stations refill at a time:
   ``n`` instructions issues out of order and the stations refill only
   when the whole batch has finished ("stations idle waiting for
   everyone to finish").
-* :mod:`repro.ultrascalar.vector_engine` — a NumPy-vectorized
-  implementation of the ring datapath for large-``n`` studies,
-  bit-equivalent to :class:`RingProcessor` on register workloads.
+* :mod:`repro.ultrascalar.vector_engine` — a NumPy-vectorized second
+  implementation of the ring datapath, kept as the independent
+  reference :class:`RingProcessor` must match bit for bit on register
+  workloads.  The ring itself is event-driven and runs the large-``n``
+  studies (E14, E15) at windows up to 2048.
 
 Factories in :mod:`repro.ultrascalar.processor` build the three
 configurations the paper compares.

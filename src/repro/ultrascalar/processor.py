@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from repro.isa.instruction import Instruction
 from repro.isa.interpreter import StepOutcome
 from repro.isa.latency import LatencyModel
+from repro.isa.opcodes import OpClass
 from repro.isa.program import Program
 from repro.frontend.branch_predictor import BranchPredictor, PerfectPredictor
 from repro.ultrascalar.memsys import IdealMemory, MemorySystem
@@ -147,6 +148,10 @@ class _ReadThroughMemory(dict):
         return self._memory.peek_word(address)
 
 
+#: the kinds whose presence makes the default predictor replay the program
+_REPLAYED_KINDS = frozenset({OpClass.BRANCH, OpClass.JUMP, OpClass.LOAD, OpClass.STORE})
+
+
 def _default_predictor(
     program: Program, initial_registers: list[int] | None, memory: MemorySystem
 ) -> BranchPredictor:
@@ -155,8 +160,11 @@ def _default_predictor(
     Replays the program from the run's own initial state — its initial
     registers and the image already loaded into *memory*, which the
     replay only reads — so it replays the branch outcomes this run
-    will resolve.
+    will resolve.  Straight-line code with no memory operation has no
+    outcome to replay, so it skips the replay.
     """
+    if _REPLAYED_KINDS.isdisjoint(program.kinds):
+        return PerfectPredictor({})
     from repro.isa.interpreter import MachineState, run_program
 
     registers = list(initial_registers or [0] * program.spec.num_registers)

@@ -1,20 +1,26 @@
-"""A NumPy-vectorized Ultrascalar ring engine for large-n studies.
+"""A NumPy-vectorized Ultrascalar ring engine: the independent reference.
 
-The object-per-station :class:`repro.ultrascalar.ring.RingProcessor` is
-convenient and fully general but too slow for the paper's interesting
-regime (hundreds to thousands of stations).  This engine vectorizes the
-per-cycle datapath across stations and registers:
+An implementation of the Ultrascalar I ring written a second, unrelated
+way.  Instead of rename links and wakeup lists it recomputes the whole
+per-cycle datapath as array operations across stations and registers:
 
 * the per-register "nearest preceding done writer" CSPP is one
   ``np.maximum.accumulate`` over a ``(L, n)`` writer matrix;
 * issue, execution countdown, and commit are boolean array operations.
 
-Scope: straight-line register programs (the workloads the large-n
-throughput sweeps use) — ALU/MUL/DIV ops, immediates, MOV/NOP/HALT.
-Memory operations and branches are rejected at construction; use
-:class:`RingProcessor` for those.  On the supported programs the engine
-is differentially tested to produce *identical* cycle counts, final
-registers, and per-instruction issue times as :class:`RingProcessor`.
+It was written when the object-per-station engine was too slow for the
+paper's large windows.  The event-driven
+:class:`repro.ultrascalar.ring.RingProcessor` now runs the large-``n``
+experiments (E14, E15) itself, in about a third of this engine's time
+over E15's fifteen configurations (this engine still wins a few
+low-dependence points).  This engine stays as the reference
+:mod:`repro.verify.diff` and the tests hold the ring to: on the
+programs it supports it must produce *identical* cycle counts, final
+registers, and per-instruction issue times.
+
+Scope: straight-line register programs — ALU/MUL/DIV ops, immediates,
+MOV/NOP/HALT.  Memory operations and branches are rejected at
+construction; use :class:`RingProcessor` for those.
 """
 
 from __future__ import annotations

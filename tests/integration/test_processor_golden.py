@@ -8,11 +8,17 @@ window sizes, cluster sizes, predictors, and memory systems.
 import pytest
 
 from repro.api import build_processor
-from repro.isa import assemble
-from repro.frontend.branch_predictor import AlwaysNotTaken, AlwaysTaken, BimodalPredictor
+from repro.isa import assemble, interpreter
+from repro.frontend.branch_predictor import (
+    AlwaysNotTaken,
+    AlwaysTaken,
+    BimodalPredictor,
+    PerfectPredictor,
+)
 from repro.isa.interpreter import MachineState, run_program
 from repro.memory.interleaved_cache import InterleavedCache
 from repro.network.fattree import FatTree, bandwidth_constant
+from repro.telemetry.tracer import CountingTracer
 from repro.ultrascalar import (
     CachedMemory,
     IdealMemory,
@@ -216,6 +222,12 @@ class TestDefaultPredictor:
     """The factories' default "perfect" predictor replays the run's own
     initial state, so it never mispredicts a forward branch."""
 
+    @staticmethod
+    def _factory(kind):
+        return {"us1": make_ultrascalar1, "us2": make_ultrascalar2}.get(
+            kind, lambda *a, **k: make_hybrid(a[0], 2, *a[1:], **k)
+        )
+
     @pytest.mark.parametrize("kind", ["us1", "us2", "hybrid"])
     def test_replays_initial_registers_and_memory(self, kind):
         # both branches fall through from the real initial state but
@@ -232,10 +244,7 @@ class TestDefaultPredictor:
         registers[28] = 64
         memory = IdealMemory()
         memory.load_image({64: 9})
-        factory = {"us1": make_ultrascalar1, "us2": make_ultrascalar2}.get(
-            kind, lambda *a, **k: make_hybrid(a[0], 2, *a[1:], **k)
-        )
-        result = factory(
+        result = self._factory(kind)(
             program,
             ProcessorConfig(window_size=8),
             memory=memory,
@@ -243,3 +252,56 @@ class TestDefaultPredictor:
         ).run()
         assert result.mispredictions == 0
         assert result.registers[3] == 10
+
+    @pytest.mark.parametrize("kind", ["us1", "us2", "hybrid"])
+    def test_straight_line_alu_code_skips_the_replay(self, kind, monkeypatch):
+        # no control transfer and no memory operation: nothing to replay
+        workload = random_ilp(80, 0.5, seed=11)
+        registers = workload.registers_for()
+        config = ProcessorConfig(window_size=16, fetch_width=4)
+        factory = self._factory(kind)
+        golden = run_program(workload.program, state=MachineState(list(registers)))
+        replayed = factory(
+            workload.program,
+            config,
+            predictor=PerfectPredictor.from_trace(golden.trace),
+            memory=IdealMemory(),
+            initial_registers=registers,
+            tracer=CountingTracer(),
+        ).run()
+
+        def no_replay(*args, **kwargs):
+            raise AssertionError("the default predictor replayed straight-line code")
+
+        monkeypatch.setattr(interpreter, "run_program", no_replay)
+        result = factory(
+            workload.program,
+            config,
+            memory=IdealMemory(),
+            initial_registers=registers,
+            tracer=CountingTracer(),
+        ).run()
+        assert result.cycles == replayed.cycles
+        assert result.registers == replayed.registers
+        assert result.timings == replayed.timings
+        assert result.stats == replayed.stats and result.stats
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "li r1, 1\nbeq r1, r0, @3\naddi r2, r1, 1\nhalt",
+            "li r1, 1\nj @3\naddi r2, r1, 1\nhalt",
+            "lw r1, 0(r0)\naddi r2, r1, 1\nhalt",
+            "li r1, 1\nsw r1, 0(r0)\nhalt",
+        ],
+        ids=["branch", "jump", "load", "store"],
+    )
+    def test_control_or_memory_code_still_replays(self, source, monkeypatch):
+        program = assemble(source)
+
+        def no_replay(*args, **kwargs):
+            raise RuntimeError("replayed")
+
+        monkeypatch.setattr(interpreter, "run_program", no_replay)
+        with pytest.raises(RuntimeError, match="replayed"):
+            make_ultrascalar1(program, ProcessorConfig(window_size=8))

@@ -30,6 +30,11 @@ class TestBitEquivalence:
             (random_ilp(60, 0.5, seed=72), 16, 4),
             (random_ilp(60, 0.9, seed=73), 8, 2),
             (random_ilp(100, 0.6, seed=74), 32, 16),
+            # the window sizes E15 runs the ring at
+            (random_ilp(400, 0.2, seed=75), 512, 64),
+            (random_ilp(400, 0.8, seed=76), 512, 64),
+            (random_ilp(400, 0.2, seed=75), 2048, 64),
+            (random_ilp(400, 0.8, seed=76), 2048, 64),
         ],
         ids=lambda x: getattr(x, "name", x),
     )

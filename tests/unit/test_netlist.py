@@ -1,8 +1,14 @@
 """Unit tests for the netlist framework and event-driven simulator."""
 
+import heapq
+import random
+
 import pytest
 
-from repro.circuits.netlist import GateKind, Netlist, bus, bus_value
+from repro.circuits.cspp import build_copy_cspp
+from repro.circuits.grid import GridNetwork, TreeGridNetwork
+from repro.circuits.mux_ring import MuxRing
+from repro.circuits.netlist import GateKind, Netlist, SimulationResult, bus, bus_value
 
 
 class TestConstruction:
@@ -160,6 +166,13 @@ class TestTopology:
         with pytest.raises(ValueError, match="not a primary input"):
             nl.simulate({out: True})
 
+    def test_simulate_rejects_another_netlists_input(self):
+        nl, other = Netlist(), Netlist()
+        nl.add_gate(GateKind.BUF, nl.add_input("a"))
+        foreign = other.add_input("b")
+        with pytest.raises(ValueError, match="not a net of netlist"):
+            nl.simulate({foreign: True})
+
 
 class TestBusHelpers:
     def test_bus_and_bus_value(self):
@@ -181,3 +194,137 @@ class TestBusHelpers:
         bus(nl, "data", 2)
         with pytest.raises(KeyError):
             nl.simulate_words({"nope": 1})
+
+
+def reference_simulate(netlist, assignments, max_time=1_000_000):
+    """The heap-and-set simulator that ``Netlist.simulate`` replaced,
+    kept as the reference its results must match."""
+    values = {net: False for net in netlist.nets}
+    for value, net in netlist._const_cache.items():
+        values[net] = value
+    for net, value in assignments.items():
+        if net.driver is not None:
+            raise ValueError(f"{net} is not a primary input")
+        values[net] = bool(value)
+    queue = []
+    queued = set()
+
+    def schedule(time, gate):
+        key = (time, gate.index)
+        if key not in queued:
+            queued.add(key)
+            heapq.heappush(queue, key)
+
+    for gate in netlist.gates:
+        schedule(gate.delay, gate)
+    settle_time = 0
+    events = 0
+    while queue:
+        time = queue[0][0]
+        if time > max_time:
+            raise RuntimeError(f"netlist {netlist.name!r} did not settle by t={max_time}")
+        due = []
+        while queue and queue[0][0] == time:
+            _, gate_index = heapq.heappop(queue)
+            queued.discard((time, gate_index))
+            due.append(netlist.gates[gate_index])
+        updates = []
+        for gate in due:
+            events += 1
+            new_value = gate.evaluate([values[net] for net in gate.inputs])
+            if new_value != values[gate.output]:
+                updates.append((gate, new_value))
+        for gate, new_value in updates:
+            values[gate.output] = new_value
+        if updates:
+            settle_time = max(settle_time, time)
+            for gate, _ in updates:
+                for successor in gate.output.fanout:
+                    schedule(time + successor.delay, successor)
+    return SimulationResult(values=values, settle_time=settle_time, events=events)
+
+
+def random_netlist(rng, cyclic):
+    """Random gates of every kind with delays 0-3 over a few inputs.
+
+    A cyclic netlist gets feedback wires like MuxRing's: placeholder
+    inputs rewired to later gates' outputs.  Only gates with a nonzero
+    delay read feedback, so every cycle advances time and the simulation
+    either settles or trips ``max_time``.
+    """
+    nl = Netlist("random")
+    nets = [nl.add_input(f"i{k}") for k in range(rng.randint(2, 6))]
+    if rng.random() < 0.5:
+        nets.append(nl.constant(rng.random() < 0.5))
+    placeholders = [nl.add_input(f"fb{k}") for k in range(rng.randint(1, 4))] if cyclic else []
+    kinds = list(GateKind)
+    for _ in range(rng.randint(4, 40)):
+        kind = rng.choice(kinds)
+        if kind in (GateKind.BUF, GateKind.NOT):
+            arity = 1
+        elif kind is GateKind.MUX:
+            arity = 3
+        else:
+            arity = rng.randint(2, 4)
+        delay = rng.randint(0, 3)
+        pool = nets + placeholders if delay else nets
+        nets.append(nl.add_gate(kind, *rng.choices(pool, k=arity), delay=delay))
+    outputs = [net for net in nets if net.driver is not None]
+    for placeholder in placeholders:
+        source = rng.choice(outputs)
+        for gate in placeholder.fanout:
+            gate.inputs = tuple(source if net is placeholder else net for net in gate.inputs)
+            source.fanout.append(gate)
+        placeholder.fanout.clear()
+        nl.inputs.remove(placeholder)
+    return nl
+
+
+def random_assignment(rng, netlist):
+    return {net: rng.random() < 0.5 for net in netlist.inputs if rng.random() < 0.9}
+
+
+def outcome(simulate, netlist, assignments, max_time):
+    """What one simulator makes of a run: its result or its error."""
+    try:
+        result = simulate(netlist, assignments, max_time=max_time)
+    except RuntimeError as error:
+        return ("RuntimeError", str(error))
+    return (result.settle_time, result.events, list(result.values.items()))
+
+
+class TestAgainstReference:
+    """The flat-array simulator matches the heap-and-set reference on
+    settle time, event count, every net value and oscillation."""
+
+    @pytest.mark.parametrize("cyclic", [False, True], ids=["acyclic", "cyclic"])
+    def test_random_netlists(self, cyclic):
+        rng = random.Random(2024 + cyclic)
+        oscillations = 0
+        for _ in range(300):
+            nl = random_netlist(rng, cyclic)
+            assignments = random_assignment(rng, nl)
+            expected = outcome(reference_simulate, nl, assignments, 64)
+            assert outcome(Netlist.simulate, nl, assignments, 64) == expected
+            oscillations += expected[0] == "RuntimeError"
+        # cyclic cases both settle and oscillate; acyclic ones always settle
+        assert (0 < oscillations < 300) if cyclic else oscillations == 0
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: MuxRing(n, 1),
+            lambda n: build_copy_cspp(n, 1),
+            lambda n: GridNetwork(n, n),
+            lambda n: TreeGridNetwork(n, n),
+        ],
+        ids=["mux_ring", "copy_cspp", "grid", "tree_grid"],
+    )
+    def test_paper_circuits(self, build, n):
+        nl = build(n).netlist
+        rng = random.Random(n)
+        for _ in range(3):
+            assignments = random_assignment(rng, nl)
+            expected = outcome(reference_simulate, nl, assignments, 10_000)
+            assert outcome(Netlist.simulate, nl, assignments, 10_000) == expected

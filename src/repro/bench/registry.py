@@ -18,9 +18,9 @@ Groups (mirroring the subsystems the ROADMAP cares about):
 * ``vector`` — the NumPy-vectorized large-*n* ring engine;
 * ``cspp`` — the behavioural cyclic-segmented-scan kernel the
   datapaths are built from;
-* ``network`` — the Ultrascalar II argument-routing reference, and the
+* ``network`` — the Ultrascalar II argument-routing reference, the
   gate-level netlists of its register networks built and settled as
-  experiment E9 does;
+  experiment E9 does, and E9's whole sweep;
 * ``isa`` — assemble → encode → decode round-trip throughput;
 * ``runner`` — the result cache's store/hit path;
 * ``verify`` — fuzz program generation (the verify CLI's hot loop).
@@ -187,13 +187,14 @@ def _register_wide_engines() -> None:
             )
 
 
-def _ilp_thunk() -> Callable[[], Any]:
-    from repro.experiments import ilp_limits
+def _report_thunk(module_name: str) -> Callable[[], Any]:
+    import importlib
 
-    point = ilp_limits.SWEEP_POINTS[0]
+    module = importlib.import_module(module_name)
+    point = module.SWEEP_POINTS[0]
 
     def thunk() -> None:
-        ilp_limits.report(**point)
+        module.report(**point)
 
     return thunk
 
@@ -204,7 +205,7 @@ def _register_ilp() -> None:
             name="experiments.ilp",
             group="engine",
             title="E15 IPC-vs-window sweep (us1, windows 8 to 2048)",
-            make=_ilp_thunk,
+            make=lambda: _report_thunk("repro.experiments.ilp_limits"),
             metadata={"design": "us1", "sweep_point": 0},
         )
     )
@@ -347,6 +348,18 @@ def _register_netlists() -> None:
             )
 
 
+def _register_gates() -> None:
+    register(
+        Benchmark(
+            name="experiments.gates",
+            group="network",
+            title="E9 settle-time sweep: build and settle every netlist, n = 4 to 32",
+            make=lambda: _report_thunk("repro.experiments.gate_depth"),
+            metadata={"sweep_point": 0},
+        )
+    )
+
+
 # ----------------------------------------------------------------------
 # assembler / encoding round-trip
 
@@ -454,6 +467,7 @@ _register_vector()
 _register_cspp()
 _register_network()
 _register_netlists()
+_register_gates()
 _register_isa()
 _register_runner()
 _register_verify()

@@ -9,9 +9,11 @@ times with an event-driven simulator, rather than asserting the bounds.
 
 Modules:
 
-* :mod:`repro.circuits.netlist` -- gates, nets, the event-driven
-  simulator (cyclic netlists supported via fixed-point settling), and
-  topological depth for acyclic circuits.
+* :mod:`repro.circuits.netlist` -- netlists as flat per-gate and per-net
+  index arrays with small :class:`Net` handles, the event-driven
+  simulator (cyclic netlists supported via fixed-point settling, loops
+  closed with ``Netlist.rewire``), and topological depth for acyclic
+  circuits.
 * :mod:`repro.circuits.prefix` -- behavioural segmented-scan semantics
   (the reference used for property testing) and prefix-tree netlists.
 * :mod:`repro.circuits.cspp` -- the cyclic segmented parallel prefix of
@@ -37,7 +39,7 @@ from repro.circuits.cspp import (
 from repro.circuits.fanout import build_fanout_tree
 from repro.circuits.grid import GridNetwork, TreeGridNetwork, route_arguments
 from repro.circuits.mux_ring import MuxRing
-from repro.circuits.netlist import Gate, GateKind, Net, Netlist, SimulationResult
+from repro.circuits.netlist import GateKind, Net, Netlist, SimulationResult
 from repro.circuits.prefix import (
     segmented_scan,
     build_linear_scan,
@@ -54,7 +56,6 @@ __all__ = [
     "TreeGridNetwork",
     "route_arguments",
     "MuxRing",
-    "Gate",
     "GateKind",
     "Net",
     "Netlist",

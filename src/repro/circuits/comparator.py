@@ -9,7 +9,7 @@ delay" for ``bits = ceil(log2 L)``.
 
 from __future__ import annotations
 
-from repro.circuits.netlist import GateKind, Net, Netlist
+from repro.circuits.netlist import GateKind, Net, Netlist, Template, bus
 
 
 def register_number_bits(num_registers: int) -> int:
@@ -44,3 +44,17 @@ def build_constant_match(netlist: Netlist, a: list[Net], constant: int) -> Net:
     if len(bits) == 1:
         return bits[0]
     return netlist.reduce_tree(GateKind.AND, bits)
+
+
+def equality_template(width: int) -> Template:
+    """:func:`build_equality_comparator` as a template: ports ``a + b``, output the match."""
+    scratch = Netlist("equal")
+    a, b = bus(scratch, "a", width), bus(scratch, "b", width)
+    return Template(scratch, a + b, [build_equality_comparator(scratch, a, b)])
+
+
+def constant_match_template(width: int, constant: int) -> Template:
+    """:func:`build_constant_match` as a template: ports ``a``, output the match."""
+    scratch = Netlist("match")
+    a = bus(scratch, "a", width)
+    return Template(scratch, a, [build_constant_match(scratch, a, constant)])

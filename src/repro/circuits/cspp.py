@@ -86,61 +86,70 @@ class CsppTree:
         self.outputs: list[list[Net]] = [None] * n  # type: ignore[list-item]
 
         summaries: dict[tuple[int, int], tuple[list[Net], Net]] = {}
-
-        def children(lo: int, hi: int) -> list[tuple[int, int]]:
-            """Split [lo, hi) into up to `radix` contiguous chunks."""
-            count = hi - lo
-            if count <= 1:
-                return []
-            chunk = max(1, (count + self.radix - 1) // self.radix)
-            spans = []
-            start = lo
-            while start < hi:
-                end = min(start + chunk, hi)
-                spans.append((start, end))
-                start = end
-            return spans
-
-        def up(lo: int, hi: int) -> tuple[list[Net], Net]:
-            if (lo, hi) in summaries:
-                return summaries[(lo, hi)]
-            if hi - lo == 1:
-                summary = (self.values[lo], self.segments[lo])
-            else:
-                spans = children(lo, hi)
-                v_acc, s_acc = up(*spans[0])
-                for span in spans[1:]:
-                    v_r, s_r = up(*span)
-                    combined = self.op.combine(nl, v_acc, v_r)
-                    v_acc = _mux_bus(nl, s_r, v_r, combined)
-                    s_acc = nl.add_gate(GateKind.OR, s_acc, s_r)
-                summary = (v_acc, s_acc)
-            summaries[(lo, hi)] = summary
-            return summary
-
-        root_v, _root_s = up(0, n)
-
-        def down(lo: int, hi: int, incoming: list[Net]) -> None:
-            if hi - lo == 1:
-                self.outputs[lo] = incoming
-                return
-            spans = children(lo, hi)
-            prefix = incoming
-            for k, span in enumerate(spans):
-                down(*span, prefix)
-                if k + 1 < len(spans):
-                    v_c, s_c = up(*span)
-                    combined = self.op.combine(nl, prefix, v_c)
-                    prefix = _mux_bus(nl, s_c, v_c, combined)
-
+        root_v, _root_s = self._up(0, n, summaries)
         # Cyclic: the whole-ring summary is the root's incoming prefix
         # ("tying together the data lines at the top of the tree and
         # discarding the top segment bit").
-        down(0, n, root_v)
+        self._down(0, n, root_v, summaries)
 
         for i, out in enumerate(self.outputs):
             for b, net in enumerate(out):
                 nl.mark_output(f"{name}_y{i}[{b}]", net)
+
+    def _children(self, lo: int, hi: int) -> list[tuple[int, int]]:
+        """Split [lo, hi) into up to `radix` contiguous chunks."""
+        count = hi - lo
+        if count <= 1:
+            return []
+        chunk = max(1, (count + self.radix - 1) // self.radix)
+        spans = []
+        start = lo
+        while start < hi:
+            end = min(start + chunk, hi)
+            spans.append((start, end))
+            start = end
+        return spans
+
+    def _up(
+        self, lo: int, hi: int, summaries: dict[tuple[int, int], tuple[list[Net], Net]]
+    ) -> tuple[list[Net], Net]:
+        """Summary (value, segment) of positions [lo, hi), memoized in *summaries*."""
+        if (lo, hi) in summaries:
+            return summaries[(lo, hi)]
+        nl = self.netlist
+        if hi - lo == 1:
+            summary = (self.values[lo], self.segments[lo])
+        else:
+            spans = self._children(lo, hi)
+            v_acc, s_acc = self._up(*spans[0], summaries)
+            for span in spans[1:]:
+                v_r, s_r = self._up(*span, summaries)
+                combined = self.op.combine(nl, v_acc, v_r)
+                v_acc = _mux_bus(nl, s_r, v_r, combined)
+                s_acc = nl.add_gate(GateKind.OR, s_acc, s_r)
+            summary = (v_acc, s_acc)
+        summaries[(lo, hi)] = summary
+        return summary
+
+    def _down(
+        self,
+        lo: int,
+        hi: int,
+        incoming: list[Net],
+        summaries: dict[tuple[int, int], tuple[list[Net], Net]],
+    ) -> None:
+        """Route *incoming* into [lo, hi), filling ``self.outputs``."""
+        if hi - lo == 1:
+            self.outputs[lo] = incoming
+            return
+        spans = self._children(lo, hi)
+        prefix = incoming
+        for k, span in enumerate(spans):
+            self._down(*span, prefix, summaries)
+            if k + 1 < len(spans):
+                v_c, s_c = self._up(*span, summaries)
+                combined = self.op.combine(self.netlist, prefix, v_c)
+                prefix = _mux_bus(self.netlist, s_c, v_c, combined)
 
     @property
     def gate_count(self) -> int:

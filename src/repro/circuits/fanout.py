@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.circuits.netlist import GateKind, Net, Netlist
+from repro.circuits.netlist import GateKind, Net, Netlist, Template
 
 
 @dataclass(frozen=True)
@@ -32,25 +32,38 @@ def build_fanout_tree(
     has gate depth 1 but unbounded electrical fan-out; the paper's
     gate-delay model charges bounded fan-out, which the tree restores.)
     A single copy is the source itself (depth 0).
+
+    Every node splits its *k* copies into ``min(radix, k)`` near-equal
+    parts, larger parts first, and drives one BUF per part; gates are
+    added depth-first, left to right.
     """
     if copies < 1:
         raise ValueError("need at least one copy")
     if radix < 2:
         raise ValueError("radix must be >= 2")
-
-    def expand(src: Net, k: int) -> tuple[list[Net], int]:
+    buf = GateKind.BUF
+    leaves: list[Net] = []
+    depth = 0
+    # (parent net, copies the node supplies, node depth); every node but
+    # the root is a BUF of its parent, added when it is popped
+    stack = [(source, copies, 0)]
+    while stack:
+        parent, k, level = stack.pop()
+        net = netlist.add_gate(buf, parent) if level else parent
         if k == 1:
-            return [src], 0
+            leaves.append(net)
+            depth = max(depth, level)
+            continue
         parts = min(radix, k)
-        sizes = [k // parts + (1 if i < k % parts else 0) for i in range(parts)]
-        leaves: list[Net] = []
-        depth = 0
-        for size in sizes:
-            child = netlist.add_gate(GateKind.BUF, src)
-            sub_leaves, sub_depth = expand(child, size)
-            leaves.extend(sub_leaves)
-            depth = max(depth, sub_depth + 1)
-        return leaves, depth
-
-    leaves, depth = expand(source, copies)
+        stack.extend(
+            (net, k // parts + (1 if i < k % parts else 0), level + 1)
+            for i in reversed(range(parts))
+        )
     return FanoutTree(source=source, leaves=tuple(leaves), depth=depth)
+
+
+def fanout_template(copies: int, radix: int = 2) -> Template:
+    """:func:`build_fanout_tree` as a template: one port, the leaves as outputs."""
+    scratch = Netlist("fanout")
+    source = scratch.add_input("source")
+    return Template(scratch, [source], build_fanout_tree(scratch, source, copies, radix).leaves)

@@ -21,16 +21,17 @@ other:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 from repro.circuits.comparator import (
-    build_constant_match,
-    build_equality_comparator,
+    constant_match_template,
+    equality_template,
     register_number_bits,
 )
-from repro.circuits.fanout import build_fanout_tree
-from repro.circuits.netlist import GateKind, Net, Netlist, SimulationResult
+from repro.circuits.fanout import fanout_template
+from repro.circuits.netlist import GateKind, Net, Netlist, SimulationResult, Template
 
 
 @dataclass(frozen=True)
@@ -243,27 +244,31 @@ class GridNetwork(_GridBase):
     """The linear-gate-delay grid of Figure 7 (Θ(n + L) settle time).
 
     Each consumer column serially chains a comparator + mux per visible
-    row, from the register-file rows upward through station rows.
+    row, from the register-file rows upward through station rows.  The
+    comparators are stamped from one template per register number and
+    one for station rows.
     """
 
     def __init__(self, n: int, num_registers: int, reads_per_station: int = 2,
                  value_bits: int = 1):
         super().__init__(n, num_registers, reads_per_station, value_bits, name="grid")
         nl = self.netlist
+        constant_match = [constant_match_template(self.reg_bits, r) for r in range(self.L)]
+        equal = equality_template(self.reg_bits)
 
         def build_column(request: list[Net], visible_stations: int) -> tuple[list[Net], Net]:
             """Chain through regfile rows then station rows < visible_stations."""
             acc_value = [nl.constant(False) for _ in range(self.value_bits)]
             acc_ready = nl.constant(False)
             for r in range(self.L):
-                match = build_constant_match(nl, request, r)
+                (match,) = nl.stamp(constant_match[r], request)
                 acc_value = [
                     nl.mux(match, self.init_values[r][b], acc_value[b])
                     for b in range(self.value_bits)
                 ]
                 acc_ready = nl.mux(match, self.init_ready[r], acc_ready)
             for j in range(visible_stations):
-                eq = build_equality_comparator(nl, request, self.write_reg[j])
+                (eq,) = nl.stamp(equal, request + self.write_reg[j])
                 match = nl.add_gate(GateKind.AND, eq, self.write_enable[j])
                 acc_value = [
                     nl.mux(match, self.write_values[j][b], acc_value[b])
@@ -286,16 +291,18 @@ class GridNetwork(_GridBase):
             request = [
                 nl.constant(bool((r >> b) & 1)) for b in range(self.reg_bits)
             ]
-            value_nets, ready_net = self._outgoing_column(request, r)
+            value_nets, ready_net = self._outgoing_column(request, r, equal)
             self.out_values.append(value_nets)
             self.out_ready.append(ready_net)
 
-    def _outgoing_column(self, request: list[Net], reg: int) -> tuple[list[Net], Net]:
+    def _outgoing_column(
+        self, request: list[Net], reg: int, equal: Template
+    ) -> tuple[list[Net], Net]:
         nl = self.netlist
         acc_value = list(self.init_values[reg])
         acc_ready = self.init_ready[reg]
         for j in range(self.n):
-            eq = build_equality_comparator(nl, request, self.write_reg[j])
+            (eq,) = nl.stamp(equal, request + self.write_reg[j])
             match = nl.add_gate(GateKind.AND, eq, self.write_enable[j])
             acc_value = [
                 nl.mux(match, self.write_values[j][b], acc_value[b])
@@ -311,6 +318,8 @@ class TreeGridNetwork(_GridBase):
     Register numbers and bindings fan out through buffer trees; each
     consumer column reduces its matching rows with a balanced segmented
     reduction tree that selects the highest (nearest preceding) match.
+    Fan-out trees and comparators are stamped from one template per
+    size, register number or width.
     """
 
     def __init__(self, n: int, num_registers: int, reads_per_station: int = 2,
@@ -318,11 +327,14 @@ class TreeGridNetwork(_GridBase):
         super().__init__(n, num_registers, reads_per_station, value_bits, name="tgrid")
         nl = self.netlist
         consumers = n * reads_per_station + num_registers
+        fanout = functools.cache(lambda copies: fanout_template(copies, fanout_radix))
+        constant_match = [constant_match_template(self.reg_bits, r) for r in range(self.L)]
+        equal = equality_template(self.reg_bits)
 
         # Fan each station's binding (reg number, value, ready, enable)
         # out to every consumer column through buffer trees.
-        def fan(net: Net) -> tuple[Net, ...]:
-            return build_fanout_tree(nl, net, consumers, radix=fanout_radix).leaves
+        def fan(net: Net) -> list[Net]:
+            return nl.stamp(fanout(consumers), [net])
 
         fanned_write_reg = [[fan(bit) for bit in self.write_reg[j]] for j in range(n)]
         fanned_write_val = [[fan(bit) for bit in self.write_values[j]] for j in range(n)]
@@ -350,10 +362,7 @@ class TreeGridNetwork(_GridBase):
             rf_rows = 0 if reg_if_constant is not None else self.L
             compare_rows = rf_rows + (visible_stations if reg_if_constant is None else 0)
             if compare_rows > 0 and request:
-                request_leaves = [
-                    build_fanout_tree(nl, bit, compare_rows, radix=fanout_radix).leaves
-                    for bit in request
-                ]
+                request_leaves = [nl.stamp(fanout(compare_rows), [bit]) for bit in request]
             else:
                 request_leaves = []
 
@@ -374,14 +383,14 @@ class TreeGridNetwork(_GridBase):
                 # The requested register always matches exactly one
                 # register-file row.
                 for r in range(self.L):
-                    match = build_constant_match(nl, request_at(r), r)
+                    (match,) = nl.stamp(constant_match[r], request_at(r))
                     entries.append((list(self.init_values[r]), self.init_ready[r], match))
             for j in range(visible_stations):
                 reg, val, rdy, en = row_ports(j, consumer)
                 if reg_if_constant is not None:
-                    eq = build_constant_match(nl, reg, reg_if_constant)
+                    (eq,) = nl.stamp(constant_match[reg_if_constant], reg)
                 else:
-                    eq = build_equality_comparator(nl, request_at(rf_rows + j), reg)
+                    (eq,) = nl.stamp(equal, request_at(rf_rows + j) + reg)
                 match = nl.add_gate(GateKind.AND, eq, en)
                 entries.append((val, rdy, match))
             # Balanced reduction selecting the last matching entry.

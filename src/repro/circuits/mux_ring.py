@@ -38,42 +38,26 @@ class MuxRing:
         ]
         self.modified: list[Net] = [nl.add_input(f"{name}_m{i}") for i in range(n)]
 
-        # Create the mux outputs first (they form a cycle), then wire them.
-        # A MUX gate needs its inputs at construction time, so we build the
-        # ring by introducing each mux with a placeholder feedback input and
-        # patching afterwards via a BUF stage:
-        #   out[i] = MUX(m[i], x[i], prev[i]) where prev[i] = out[i-1]
-        # We first create BUF nets prev[i] driven later.
-        self.ring_out: list[list[Net]] = [[None] * width for _ in range(n)]  # type: ignore[list-item]
-
-        # Pass 1: feedback buffers (their drivers are patched in pass 2).
-        feedback: list[list[Net]] = []
-        for i in range(n):
-            feedback.append([nl.add_input(f"{name}_fb{i}[{b}]") for b in range(width)])
-
-        # Pass 2: muxes using the feedback nets.
-        for i in range(n):
-            for b in range(width):
-                self.ring_out[i][b] = nl.mux(
+        # out[i] = MUX(m[i], x[i], out[i-1]) is a cycle, and a gate needs
+        # its inputs when it is added: each mux first reads a placeholder
+        # input, which is rewired to the previous station's output once
+        # every mux exists.
+        feedback = [
+            [nl.add_input(f"{name}_fb{i}[{b}]") for b in range(width)] for i in range(n)
+        ]
+        self.ring_out: list[list[Net]] = [
+            [
+                nl.mux(
                     self.modified[i], self.values[i][b], feedback[i][b],
                     name=f"{name}_out{i}[{b}]",
                 )
-
-        # Pass 3: close the ring by redirecting each feedback net to be
-        # driven by the previous station's output through a BUF gate.
-        # We cannot re-drive an input net, so instead rebuild: replace each
-        # feedback input by making the mux read the previous output via the
-        # fanout lists directly.
+                for b in range(width)
+            ]
+            for i in range(n)
+        ]
         for i in range(n):
-            prev = (i - 1) % n
             for b in range(width):
-                fb_net = feedback[i][b]
-                src_net = self.ring_out[prev][b]
-                for gate in fb_net.fanout:
-                    gate.inputs = tuple(src_net if net is fb_net else net for net in gate.inputs)
-                    src_net.fanout.append(gate)
-                fb_net.fanout.clear()
-                nl.inputs.remove(fb_net)
+                nl.rewire(feedback[i][b], self.ring_out[(i - 1) % n][b])
 
         for i in range(n):
             for b in range(width):

@@ -268,50 +268,76 @@ def build_tree_scan(
 ) -> ScanPorts:
     """Noncyclic segmented scan as a balanced tree: Θ(log n) gate delay.
 
-    Up-sweep computes per-subtree summaries ``(v, s)`` with
-    ``v = s_r ? v_r : (v_l (x) v_r)`` and ``s = s_l | s_r``; the
-    down-sweep routes incoming prefixes:
-    ``in_left = in_node``, ``in_right = s_l ? v_l : (in_node (x) v_l)``.
+    See :func:`tree_scan` for the construction.
     """
     values = [[netlist.add_input(f"{name}_x{i}[{b}]") for b in range(op.width)] for i in range(n)]
     segments = [netlist.add_input(f"{name}_s{i}") for i in range(n)]
     initial = [netlist.add_input(f"{name}_init[{b}]") for b in range(op.width)]
-
-    summaries: dict[tuple[int, int], tuple[list[Net], Net]] = {}
-
-    def up_memo(lo: int, hi: int) -> tuple[list[Net], Net]:
-        if (lo, hi) not in summaries:
-            if hi - lo == 1:
-                summaries[(lo, hi)] = (values[lo], segments[lo])
-            else:
-                mid = (lo + hi) // 2
-                v_l, s_l = up_memo(lo, mid)
-                v_r, s_r = up_memo(mid, hi)
-                combined = op.combine(netlist, v_l, v_r)
-                v = _mux_bus(netlist, s_r, v_r, combined)
-                s = netlist.add_gate(GateKind.OR, s_l, s_r)
-                summaries[(lo, hi)] = (v, s)
-        return summaries[(lo, hi)]
-
-    up_memo(0, n)
-    outputs: list[list[Net]] = [None] * n  # type: ignore[list-item]
-
-    def down(lo: int, hi: int, incoming: list[Net]) -> None:
-        if hi - lo == 1:
-            outputs[lo] = incoming
-            return
-        mid = (lo + hi) // 2
-        v_l, s_l = up_memo(lo, mid)
-        combined = op.combine(netlist, incoming, v_l)
-        incoming_right = _mux_bus(netlist, s_l, v_l, combined)
-        down(lo, mid, incoming)
-        down(mid, hi, incoming_right)
-
-    down(0, n, initial)
+    outputs = tree_scan(netlist, op, values, segments, initial)
     for i, out in enumerate(outputs):
         for b, net in enumerate(out):
             netlist.mark_output(f"{name}_y{i}[{b}]", net)
     return ScanPorts(values=values, segments=segments, outputs=outputs, initial=initial)
+
+
+def tree_scan(
+    netlist: Netlist,
+    op: ScanOp,
+    values: list[list[Net]],
+    segments: list[Net],
+    incoming: list[Net] | None = None,
+) -> list[list[Net]]:
+    """Balanced binary segmented scan over existing nets; returns the outputs.
+
+    Up-sweep computes per-subtree summaries ``(v, s)`` with
+    ``v = s_r ? v_r : (v_l (x) v_r)`` and ``s = s_l | s_r``; the
+    down-sweep routes incoming prefixes:
+    ``in_left = in_node``, ``in_right = s_l ? v_l : (in_node (x) v_l)``.
+    *incoming* enters at the root; ``None`` makes the scan cyclic by
+    feeding the root's own summary back in.
+    """
+    tree = _BinaryScanTree(netlist, op, values, segments)
+    n = len(values)
+    root, _ = tree.up(0, n)
+    outputs: list[list[Net]] = [[] for _ in range(n)]
+    tree.down(0, n, root if incoming is None else incoming, outputs)
+    return outputs
+
+
+class _BinaryScanTree:
+    """The sweeps of :func:`tree_scan`, with the up-sweep memoized per span."""
+
+    def __init__(self, netlist: Netlist, op: ScanOp, values: list[list[Net]], segments: list[Net]):
+        self.netlist = netlist
+        self.op = op
+        self.values = values
+        self.segments = segments
+        self.summaries: dict[tuple[int, int], tuple[list[Net], Net]] = {}
+
+    def up(self, lo: int, hi: int) -> tuple[list[Net], Net]:
+        if (lo, hi) not in self.summaries:
+            if hi - lo == 1:
+                self.summaries[(lo, hi)] = (self.values[lo], self.segments[lo])
+            else:
+                mid = (lo + hi) // 2
+                v_l, s_l = self.up(lo, mid)
+                v_r, s_r = self.up(mid, hi)
+                combined = self.op.combine(self.netlist, v_l, v_r)
+                v = _mux_bus(self.netlist, s_r, v_r, combined)
+                s = self.netlist.add_gate(GateKind.OR, s_l, s_r)
+                self.summaries[(lo, hi)] = (v, s)
+        return self.summaries[(lo, hi)]
+
+    def down(self, lo: int, hi: int, incoming: list[Net], outputs: list[list[Net]]) -> None:
+        if hi - lo == 1:
+            outputs[lo] = incoming
+            return
+        mid = (lo + hi) // 2
+        v_l, s_l = self.up(lo, mid)
+        combined = self.op.combine(self.netlist, incoming, v_l)
+        incoming_right = _mux_bus(self.netlist, s_l, v_l, combined)
+        self.down(lo, mid, incoming, outputs)
+        self.down(mid, hi, incoming_right, outputs)
 
 
 def assign_scan_inputs(

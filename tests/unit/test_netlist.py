@@ -1,14 +1,30 @@
 """Unit tests for the netlist framework and event-driven simulator."""
 
+import gc
 import heapq
 import random
 
 import pytest
 
+from repro.circuits.comparator import (
+    build_constant_match,
+    build_equality_comparator,
+    constant_match_template,
+    equality_template,
+)
 from repro.circuits.cspp import build_copy_cspp
+from repro.circuits.fanout import build_fanout_tree, fanout_template
 from repro.circuits.grid import GridNetwork, TreeGridNetwork
 from repro.circuits.mux_ring import MuxRing
-from repro.circuits.netlist import GateKind, Netlist, SimulationResult, bus, bus_value
+from repro.circuits.netlist import (
+    GateKind,
+    Netlist,
+    SimulationResult,
+    Template,
+    bus,
+    bus_value,
+)
+from repro.ultrascalar.scheduler import SchedulerCircuit
 
 
 class TestConstruction:
@@ -17,9 +33,10 @@ class TestConstruction:
         a = nl.add_input("a")
         b = nl.add_input("b")
         out = nl.add_gate(GateKind.AND, a, b)
-        assert out.driver is not None
+        assert nl.drivers[out.index] == 0
         assert nl.gate_count == 1
-        assert a.fanout == [out.driver]
+        assert nl.gate_inputs == [(a.index, b.index)]
+        assert nl.gate_outputs == [out.index]
 
     def test_arity_enforced(self):
         nl = Netlist()
@@ -131,12 +148,8 @@ class TestTiming:
         feedback = nl.add_input("fb_placeholder")
         inner = nl.add_gate(GateKind.AND, a, feedback)
         out = nl.add_gate(GateKind.NOT, inner)
-        # close the loop manually
-        gate = inner.driver
-        gate.inputs = (a, out)
-        out.fanout.append(gate)
-        feedback.fanout.clear()
-        nl.inputs.remove(feedback)
+        nl.rewire(feedback, out)
+        assert nl.inputs == [a]
         with pytest.raises(RuntimeError, match="did not settle"):
             nl.simulate({a: True}, max_time=100)
 
@@ -173,6 +186,124 @@ class TestTopology:
         with pytest.raises(ValueError, match="not a net of netlist"):
             nl.simulate({foreign: True})
 
+    def test_add_gate_rejects_another_netlists_net(self):
+        a, b = Netlist("a"), Netlist("b")
+        x, y = a.add_input("x"), b.add_input("y")
+        with pytest.raises(ValueError, match="not a net of netlist 'b'"):
+            b.add_gate(GateKind.AND, x, y)
+        assert b.gate_count == 0
+
+    def test_value_of_rejects_another_netlists_net(self):
+        a, b = Netlist("a"), Netlist("b")
+        x, y = a.add_input("x"), b.add_input("y")
+        result = b.simulate({y: True})
+        assert result.value_of(y) is True
+        with pytest.raises(ValueError, match="not a net of the simulated netlist"):
+            result.value_of(x)
+
+    def test_rewire_rejects_a_placeholder_that_is_not_a_primary_input(self):
+        nl = Netlist()
+        a = nl.add_input("a")
+        out = nl.add_gate(GateKind.NOT, a)
+        loop = nl.add_gate(GateKind.BUF, out)
+        with pytest.raises(ValueError, match="not a primary input"):
+            nl.rewire(out, loop)
+        nl.rewire(a, loop)
+        with pytest.raises(ValueError, match="not a primary input"):
+            nl.rewire(a, loop)  # no longer an input once rewired
+
+    def test_rewire_rejects_another_netlists_nets(self):
+        nl, other = Netlist("nl"), Netlist("other")
+        placeholder = nl.add_input("fb")
+        out = nl.add_gate(GateKind.NOT, placeholder)
+        foreign = other.add_input("x")
+        with pytest.raises(ValueError, match="not a net of netlist 'nl'"):
+            nl.rewire(placeholder, foreign)
+        with pytest.raises(ValueError, match="not a net of netlist 'nl'"):
+            nl.rewire(foreign, out)
+        assert nl.gate_inputs == [(placeholder.index,)]
+
+
+def arrays(netlist):
+    return (
+        netlist.drivers, netlist.kinds, netlist.gate_inputs, netlist.gate_outputs, netlist.delays
+    )
+
+
+class TestTemplates:
+    def test_stamping_adds_the_gates_building_in_place_adds(self):
+        built, stamped = Netlist(), Netlist()
+        a, b, s = bus(built, "a", 3), bus(built, "b", 3), built.add_input("s")
+        outputs = [
+            build_equality_comparator(built, a, b),
+            build_constant_match(built, a, 5),
+            *build_fanout_tree(built, s, 7, radix=3).leaves,
+            build_constant_match(built, [s], 0),
+        ]
+        a, b, s = bus(stamped, "a", 3), bus(stamped, "b", 3), stamped.add_input("s")
+        stamps = [
+            stamped.stamp(equality_template(3), a + b),
+            stamped.stamp(constant_match_template(3, 5), a),
+            stamped.stamp(fanout_template(7, radix=3), [s]),
+            stamped.stamp(constant_match_template(1, 0), [s]),
+        ]
+        assert arrays(stamped) == arrays(built)
+        assert [net.index for stamp in stamps for net in stamp] == [net.index for net in outputs]
+        assert stamped.topological_depth() == built.topological_depth()
+
+    def test_a_one_copy_fanout_returns_its_port(self):
+        nl = Netlist()
+        source = nl.add_input("s")
+        assert nl.stamp(fanout_template(1), [source]) == [source]
+        assert nl.gate_count == 0
+
+    def test_stamped_gates_are_owner_checked_and_rewireable(self):
+        nl, other = Netlist("nl"), Netlist("other")
+        template = fanout_template(4)
+        with pytest.raises(ValueError, match="takes 1 ports, got 2"):
+            nl.stamp(template, [nl.add_input("x"), nl.add_input("y")])
+        with pytest.raises(ValueError, match="not a net of netlist 'nl'"):
+            nl.stamp(template, [other.add_input("z")])
+        assert nl.gate_count == 0
+        enable = nl.add_input("enable")
+        placeholder = nl.add_input("fb")
+        leaves = nl.stamp(template, [placeholder])
+        # a ring oscillator through the stamped tree: fb = NOT(AND(enable, leaf))
+        gated = nl.add_gate(GateKind.AND, enable, leaves[0])
+        nl.rewire(placeholder, nl.add_gate(GateKind.NOT, gated))
+        assert nl.is_cyclic()
+        assert nl.simulate({enable: False}).value_of(leaves[3]) is True
+        with pytest.raises(RuntimeError, match="did not settle"):
+            nl.simulate({enable: True}, max_time=100)
+
+    def test_template_ports_must_be_the_scratch_inputs(self):
+        scratch = Netlist()
+        a = scratch.add_input("a")
+        out = scratch.add_gate(GateKind.AND, a, scratch.constant(True))
+        with pytest.raises(ValueError, match="primary inputs"):
+            Template(scratch, [a], [out])
+
+
+class TestNoReferenceCycles:
+    def test_dropped_netlists_leave_the_collector_nothing(self):
+        """Handles reference no gate, so refcounting frees a dropped
+        netlist and its builder."""
+        n = 8
+        gc.collect()
+        gc.disable()
+        try:
+            grid = TreeGridNetwork(n, n)
+            grid.settle_time([(1, True)] * n, [None] * n, [[0, 0]] * n)
+            ring = MuxRing(n, 1)
+            ring.settle_time([1] * n, [True] + [False] * (n - 1))
+            # builders whose sweeps recurse
+            tree = build_copy_cspp(n, 1)
+            scheduler = SchedulerCircuit(n, 3)
+            del grid, ring, tree, scheduler
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestBusHelpers:
     def test_bus_and_bus_value(self):
@@ -196,27 +327,34 @@ class TestBusHelpers:
             nl.simulate_words({"nope": 1})
 
 
+KINDS = {kind.code: kind for kind in GateKind}
+
+
 def reference_simulate(netlist, assignments, max_time=1_000_000):
     """The heap-and-set simulator that ``Netlist.simulate`` replaced,
     kept as the reference its results must match."""
-    values = {net: False for net in netlist.nets}
+    values = [False] * len(netlist.drivers)
     for value, net in netlist._const_cache.items():
-        values[net] = value
+        values[net.index] = value
     for net, value in assignments.items():
-        if net.driver is not None:
+        if netlist.drivers[net.index] >= 0:
             raise ValueError(f"{net} is not a primary input")
-        values[net] = bool(value)
+        values[net.index] = bool(value)
+    fanout = [[] for _ in netlist.drivers]
+    for gate, ins in enumerate(netlist.gate_inputs):
+        for net in ins:
+            fanout[net].append(gate)
     queue = []
     queued = set()
 
     def schedule(time, gate):
-        key = (time, gate.index)
+        key = (time, gate)
         if key not in queued:
             queued.add(key)
             heapq.heappush(queue, key)
 
-    for gate in netlist.gates:
-        schedule(gate.delay, gate)
+    for gate, delay in enumerate(netlist.delays):
+        schedule(delay, gate)
     settle_time = 0
     events = 0
     while queue:
@@ -225,23 +363,26 @@ def reference_simulate(netlist, assignments, max_time=1_000_000):
             raise RuntimeError(f"netlist {netlist.name!r} did not settle by t={max_time}")
         due = []
         while queue and queue[0][0] == time:
-            _, gate_index = heapq.heappop(queue)
-            queued.discard((time, gate_index))
-            due.append(netlist.gates[gate_index])
+            _, gate = heapq.heappop(queue)
+            queued.discard((time, gate))
+            due.append(gate)
         updates = []
         for gate in due:
             events += 1
-            new_value = gate.evaluate([values[net] for net in gate.inputs])
-            if new_value != values[gate.output]:
+            kind = KINDS[netlist.kinds[gate]]
+            new_value = kind.evaluate([values[net] for net in netlist.gate_inputs[gate]])
+            if new_value != values[netlist.gate_outputs[gate]]:
                 updates.append((gate, new_value))
         for gate, new_value in updates:
-            values[gate.output] = new_value
+            values[netlist.gate_outputs[gate]] = new_value
         if updates:
             settle_time = max(settle_time, time)
             for gate, _ in updates:
-                for successor in gate.output.fanout:
-                    schedule(time + successor.delay, successor)
-    return SimulationResult(values=values, settle_time=settle_time, events=events)
+                for successor in fanout[netlist.gate_outputs[gate]]:
+                    schedule(time + netlist.delays[successor], successor)
+    return SimulationResult(
+        values=values, settle_time=settle_time, events=events, owner=netlist.id
+    )
 
 
 def random_netlist(rng, cyclic):
@@ -269,14 +410,9 @@ def random_netlist(rng, cyclic):
         delay = rng.randint(0, 3)
         pool = nets + placeholders if delay else nets
         nets.append(nl.add_gate(kind, *rng.choices(pool, k=arity), delay=delay))
-    outputs = [net for net in nets if net.driver is not None]
+    outputs = [net for net in nets if nl.drivers[net.index] >= 0]
     for placeholder in placeholders:
-        source = rng.choice(outputs)
-        for gate in placeholder.fanout:
-            gate.inputs = tuple(source if net is placeholder else net for net in gate.inputs)
-            source.fanout.append(gate)
-        placeholder.fanout.clear()
-        nl.inputs.remove(placeholder)
+        nl.rewire(placeholder, rng.choice(outputs))
     return nl
 
 
@@ -290,7 +426,7 @@ def outcome(simulate, netlist, assignments, max_time):
         result = simulate(netlist, assignments, max_time=max_time)
     except RuntimeError as error:
         return ("RuntimeError", str(error))
-    return (result.settle_time, result.events, list(result.values.items()))
+    return (result.settle_time, result.events, result.values)
 
 
 class TestAgainstReference:

@@ -2,9 +2,10 @@
 
 Each module exposes a ``run(...)`` function returning structured results
 and a ``report(...)`` / ``main()`` that renders the paper-shaped table.
-The benchmark harness under ``benchmarks/`` wraps these with
-pytest-benchmark and asserts the paper's qualitative claims (who wins,
-by what factor, where the crossovers fall).
+Tier-1 pins every report byte for byte (``tests/golden/``) and asserts
+the paper's qualitative claims on ``run()`` (who wins, by what factor,
+where the crossovers fall) in ``tests/unit/test_experiments.py`` and
+``tests/unit/test_new_experiments.py``.
 """
 
 from repro.experiments import (

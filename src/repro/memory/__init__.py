@@ -3,7 +3,8 @@
 The paper connects the execution stations "to an interleaved data cache
 and to an instruction trace cache via two fat-tree or butterfly
 networks".  This subpackage provides cycle-level behavioural models of
-those structures:
+those structures, with the fat tree (:mod:`repro.network.fattree`) as
+the admission network:
 
 * :mod:`repro.memory.mainmem` -- a flat word-addressed backing store
   with configurable access latency.

@@ -1,6 +1,6 @@
 """Interconnection-network substrates.
 
-The Ultrascalar processors use three network families:
+The Ultrascalar processors use two network families:
 
 * :mod:`repro.network.htree` -- H-tree geometry: the recursive 4-way
   layout that places execution stations on a square and routes the CSPP
@@ -9,13 +9,11 @@ The Ultrascalar processors use three network families:
   along each link on the way to the root" (Leiserson), used to connect
   stations to the interleaved data cache with capacity ``M(n)`` at the
   root; includes a cycle-level contention model.
-* :mod:`repro.network.butterfly` -- the butterfly alternative the paper
-  mentions for the memory interface.
-* :mod:`repro.network.meshoftrees` -- mesh-of-trees structural counts
-  used by the Ultrascalar II layout analysis.
+
+The Ultrascalar II's mesh-of-trees is built gate by gate in
+:class:`repro.circuits.grid.TreeGridNetwork`.
 """
 
-from repro.network.butterfly import ButterflyNetwork
 from repro.network.fattree import FatTree, FatTreeRouting
 from repro.network.htree import (
     htree_leaf_positions,
@@ -23,15 +21,12 @@ from repro.network.htree import (
     successor_tree_distances,
     wire_length_root_to_leaf,
 )
-from repro.network.meshoftrees import mesh_of_trees_stats
 
 __all__ = [
-    "ButterflyNetwork",
     "FatTree",
     "FatTreeRouting",
     "htree_leaf_positions",
     "htree_side_length",
     "successor_tree_distances",
     "wire_length_root_to_leaf",
-    "mesh_of_trees_stats",
 ]

@@ -20,6 +20,9 @@ exponents are preserved (see DESIGN.md, substitution table).
   by the Ultrascalar I H-tree (Figure 10): side U(n), optimal cluster
   size C = Θ(L).
 * :mod:`repro.vlsi.wires` -- repeatered wire delay, linear in length.
+
+The Section 7 three-dimensional bounds are closed forms in
+:mod:`repro.analysis.three_d` (experiment E7).
 """
 
 from repro.vlsi.cells import station_cell, StationCell
@@ -27,17 +30,9 @@ from repro.vlsi.grid_layout import Ultrascalar2Layout
 from repro.vlsi.htree_layout import Ultrascalar1Layout
 from repro.vlsi.hybrid_layout import HybridLayout, optimal_cluster_size
 from repro.vlsi.tech import Technology, PAPER_TECH
-from repro.vlsi.three_d_layout import (
-    ThreeDHybridLayout,
-    ThreeDUltrascalar1Layout,
-    optimal_cluster_size_3d,
-)
 from repro.vlsi.wires import wire_delay
 
 __all__ = [
-    "ThreeDHybridLayout",
-    "ThreeDUltrascalar1Layout",
-    "optimal_cluster_size_3d",
     "station_cell",
     "StationCell",
     "Ultrascalar2Layout",

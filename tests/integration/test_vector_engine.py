@@ -116,3 +116,25 @@ class TestLargeN:
             ipcs.append(result.ipc)
         assert ipcs == sorted(ipcs)
         assert ipcs[-1] > ipcs[0]
+
+    def test_window_ipc_sweep(self):
+        """IPC vs window size at large n: monotone until saturation."""
+        workload = random_ilp(1200, 0.5, seed=77)
+        ipcs = [
+            VectorRingEngine(
+                workload.program, window, window, initial_registers=workload.registers_for()
+            ).run().ipc
+            for window in (16, 64, 256, 1024)
+        ]
+        assert ipcs == sorted(ipcs)
+
+    def test_both_engines_find_parallelism(self):
+        workload = random_ilp(1200, 0.5, seed=77)
+        registers = workload.registers_for()
+        vector = VectorRingEngine(workload.program, 256, 32, initial_registers=registers)
+        assert vector.run().ipc > 1.0
+        config = ProcessorConfig(window_size=64, fetch_width=32)
+        processor = make_ultrascalar1(
+            workload.program, config, memory=IdealMemory(), initial_registers=registers
+        )
+        assert processor.run().ipc > 1.0

@@ -1,18 +1,13 @@
-"""End-to-end bench runs (marked ``bench``; excluded from tier-1).
+"""End-to-end ``repro bench`` runs: ``--quick --json`` and ``--profile``.
 
-Run with ``pytest -m bench tests/unit/test_bench_smoke.py`` — the CI
-bench-smoke job does, tier-1 does not (timed runs are too slow and too
-noisy for the default gate).
+The quick registry takes well under a second, so these run in tier-1;
+they check the artifact's shape, never its timings.
 """
 
 import json
 
-import pytest
-
 from repro.bench.artifact import BENCH_SCHEMA, validate_bench_artifact
 from repro.bench.cli import main as bench_main
-
-pytestmark = pytest.mark.bench
 
 
 class TestQuickRunEndToEnd:

@@ -1,10 +1,9 @@
-"""Unit tests for the network substrates (H-tree, fat-tree, butterfly)."""
+"""Unit tests for the network substrates (H-tree, fat-tree)."""
 
 import math
 
 import pytest
 
-from repro.network.butterfly import ButterflyNetwork
 from repro.network.fattree import (
     FatTree,
     bandwidth_constant,
@@ -20,8 +19,6 @@ from repro.network.htree import (
     successor_wire_lengths,
     wire_length_root_to_leaf,
 )
-from repro.network.meshoftrees import mesh_of_trees_stats, ultrascalar2_mesh_stats
-
 
 class TestHTreeGeometry:
     def test_power_of_4_check(self):
@@ -146,61 +143,3 @@ class TestFatTree:
         with pytest.raises(ValueError):
             FatTree(4, bandwidth_constant(), radix=1)
 
-
-class TestButterfly:
-    def test_path_reaches_destination(self):
-        net = ButterflyNetwork(8)
-        for src in range(8):
-            for dst in range(8):
-                hops = net.path(src, dst)
-                assert len(hops) == 3
-                assert hops[-1][1] == dst  # final row equals destination
-
-    def test_conflicting_routes_denied(self):
-        net = ButterflyNetwork(8)
-        # two different sources to the same destination always collide at
-        # the last stage
-        routing = net.route_batch([(0, 5), (1, 5)])
-        assert routing.granted == (0,)
-        assert routing.denied == (1,)
-
-    def test_disjoint_routes_all_granted(self):
-        net = ButterflyNetwork(8)
-        routing = net.route_batch([(i, i) for i in range(8)])
-        assert len(routing.granted) == 8
-
-    def test_switch_count(self):
-        assert ButterflyNetwork(8).switch_count == 4 * 3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ButterflyNetwork(3)
-        with pytest.raises(ValueError):
-            ButterflyNetwork(1)
-        net = ButterflyNetwork(4)
-        with pytest.raises(ValueError):
-            net.path(0, 4)
-
-
-class TestMeshOfTrees:
-    def test_counts(self):
-        stats = mesh_of_trees_stats(4, 8)
-        assert stats.crosspoints == 32
-        assert stats.row_tree_nodes == 4 * 7
-        assert stats.col_tree_nodes == 8 * 3
-        assert stats.total_nodes == 32 + 28 + 24
-
-    def test_depth_is_log_rows_plus_log_cols(self):
-        stats = mesh_of_trees_stats(16, 64)
-        assert stats.depth == 4 + 6
-
-    def test_ultrascalar2_dimensions(self):
-        stats = ultrascalar2_mesh_stats(n=8, num_registers=4)
-        assert stats.rows == 12      # n + L
-        assert stats.cols == 20      # 2n + L
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            mesh_of_trees_stats(0, 4)
-        with pytest.raises(ValueError):
-            ultrascalar2_mesh_stats(0, 4)

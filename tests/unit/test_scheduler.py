@@ -85,3 +85,22 @@ class TestAddOp:
             assignment[a[i]] = bool((5 >> i) & 1)
             assignment[b[i]] = bool((6 >> i) & 1)
         assert bus_value(nl.simulate(assignment), out) == 11
+
+
+class TestSchedulerCircuitDepth:
+    """The Memo-2 scheduler's settle time stays polylogarithmic."""
+
+    def test_settle_time_growth(self):
+        times = []
+        for n in (4, 8, 16, 32):
+            circuit = SchedulerCircuit(n, max(1, n // 4))
+            result = circuit.netlist.simulate(
+                {**{net: True for net in circuit.requests},
+                 **{net: i == 0 for i, net in enumerate(circuit.segments)}}
+            )
+            times.append(result.settle_time)
+        # doubling n adds a bounded number of gate delays (log n levels
+        # of log n-bit ripple adders: O(log^2 n) total, far below linear)
+        diffs = [b - a for a, b in zip(times, times[1:])]
+        assert all(d <= 12 for d in diffs), times
+        assert times[-1] < 32 * 2  # decisively sublinear vs a ring scan
